@@ -44,7 +44,7 @@ def test_audit_structure_only(benchmark, bench_coalition):
 def test_audit_with_premise_trust(benchmark, bench_coalition):
     """Full audit: every leaf checked against the trusted belief set."""
     server, decision = _granted_decision(bench_coalition)
-    premises = set(server.protocol.engine.store.snapshot())
+    premises = server.protocol.trusted_premises(decision)
     aliases = server.protocol.engine.alias_map()
 
     def audit():

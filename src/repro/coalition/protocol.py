@@ -17,6 +17,13 @@ a joint access request:
 * **Step 4** — apply A38 to conclude ``G says "op" O`` and check the
   object's ACL and the certificate validity window.
 
+Steps 1-2 admissions are standing beliefs of the verifier and persist
+in its belief store; Steps 3-4 derive into a request-local
+:class:`~repro.core.store.RequestBeliefs` dropped with the decision.
+Only the message receipts its proof cites are kept, on the decision,
+and the nonce ledger records their digest so that
+:meth:`AuthorizationProtocol.audit` can tell them from forged ones.
+
 Every decision returns the derivation as a proof tree, so a granted
 request is *literally* the Appendix E derivation for that request.
 """
@@ -24,10 +31,11 @@ request is *literally* the Appendix E derivation for that request.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from ..core.derivation import DerivationEngine, DerivationError
 from ..obs.metrics import MetricsRegistry
@@ -41,6 +49,7 @@ from ..core.formulas import (
 )
 from ..core.patterns import AnyTime, match
 from ..core.proofs import ProofStep
+from ..core.store import RequestBeliefs
 from ..core.temporal import FOREVER, Temporal
 from ..core.terms import CompoundPrincipal, KeyRef, Principal, Var
 from ..crypto.boneh_franklin import SharedRSAPublicKey
@@ -55,6 +64,12 @@ __all__ = ["AuthorizationDecision", "AuthorizationProtocol", "NonceLedger"]
 DEFAULT_FRESHNESS_WINDOW = 50
 
 
+def _receipts_digest(receipts: Tuple[Formula, ...]) -> bytes:
+    # The dataclass repr spells out every field, so equal digests mean
+    # equal receipts.
+    return hashlib.sha256(repr(receipts).encode()).digest()
+
+
 class NonceLedger:
     """Replay ledger bounded by the freshness window, safe to share.
 
@@ -64,12 +79,19 @@ class NonceLedger:
     lock-protected so protocol forks evaluating on different shard
     threads (:mod:`repro.service`) can share one global replay window —
     replay protection must span shards and epochs, unlike belief state.
+
+    The ledger also keeps a digest of the message receipts each
+    accepted request recorded, forgotten with its nonce: an audit trusts
+    a decision's receipts only if they match it (see
+    :meth:`AuthorizationProtocol.trusted_premises`).  That record is
+    local to this process and does not travel with :meth:`entries`.
     """
 
     def __init__(self, freshness_window: int = DEFAULT_FRESHNESS_WINDOW):
         self.freshness_window = freshness_window
         self._seen: Dict[str, int] = {}
         self._expiry: Deque[Tuple[int, str]] = deque()
+        self._receipts: Dict[str, bytes] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -79,11 +101,23 @@ class NonceLedger:
         with self._lock:
             return nonce in self._seen
 
-    def remember(self, nonce: str, now: int) -> None:
+    def remember(
+        self, nonce: str, now: int, receipts: Tuple[Formula, ...] = ()
+    ) -> None:
         forget_after = now + 2 * self.freshness_window
         with self._lock:
             self._seen[nonce] = forget_after
             self._expiry.append((forget_after, nonce))
+            if receipts:
+                self._receipts[nonce] = _receipts_digest(receipts)
+
+    def recorded(self, nonce: Optional[str], receipts: Tuple[Formula, ...]) -> bool:
+        """Whether ``receipts`` are what the unexpired ``nonce`` recorded."""
+        if nonce is None or not receipts:
+            return False
+        with self._lock:
+            digest = self._receipts.get(nonce)
+        return digest == _receipts_digest(receipts)
 
     def purge(self, now: int) -> int:
         """Forget nonces whose replay would fail the freshness check anyway."""
@@ -94,6 +128,7 @@ class NonceLedger:
                 forget_after, nonce = queue.popleft()
                 if self._seen.get(nonce) == forget_after:
                     del self._seen[nonce]
+                    self._receipts.pop(nonce, None)
                     purged += 1
         return purged
 
@@ -117,8 +152,9 @@ class NonceLedger:
                     self._expiry.append((forget_after, nonce))
 
     # The ledger travels inside pickled epoch snapshots when shard
-    # workers run as separate processes; the lock is process-local
-    # state and is recreated on load.
+    # workers run as separate processes; the lock and the receipt
+    # record are process-local state (a process-mode decision ships
+    # without its proof, so there is nothing to audit against them).
     def __getstate__(self):
         with self._lock:
             return {
@@ -131,6 +167,7 @@ class NonceLedger:
         self.freshness_window = state["freshness_window"]
         self._seen = state["_seen"]
         self._expiry = deque(state["_expiry"])
+        self._receipts = {}
         self._lock = threading.Lock()
 
 
@@ -142,6 +179,11 @@ class AuthorizationDecision:
     from / added to the protocol's admission cache while deciding this
     request; ``index_probes`` counts belief-store index lookups.  All
     three exist so load tests can assert fast-path behavior.
+
+    ``receipts`` are the message receipts a grant recorded (the
+    premises of its proof that are not standing beliefs) and ``nonce``
+    its replay nonce.  An audit trusts the receipts only while the
+    verifier's nonce ledger holds a matching record for that nonce.
     """
 
     granted: bool
@@ -155,6 +197,8 @@ class AuthorizationDecision:
     cache_hits: int = 0
     cache_misses: int = 0
     index_probes: int = 0
+    nonce: Optional[str] = None
+    receipts: Tuple[Formula, ...] = ()
 
     def __bool__(self) -> bool:
         return self.granted
@@ -382,8 +426,10 @@ class AuthorizationProtocol:
 
     # --------------------------------------------------- replay window
 
-    def _remember_nonce(self, nonce: str, now: int) -> None:
-        self.nonces.remember(nonce, now)
+    def _remember_nonce(
+        self, nonce: str, now: int, receipts: Tuple[Formula, ...]
+    ) -> None:
+        self.nonces.remember(nonce, now, receipts)
 
     def _purge_nonces(self, now: int) -> None:
         """Forget nonces whose replay would fail the freshness check anyway.
@@ -424,11 +470,26 @@ class AuthorizationProtocol:
 
     # ----------------------------------------------------------- auditing
 
+    def trusted_premises(self, decision: AuthorizationDecision) -> Set[Formula]:
+        """The premises an audit of ``decision`` accepts.
+
+        The verifier's standing beliefs, plus ``decision.receipts`` if
+        they match what the nonce ledger recorded for ``decision.nonce``.
+        The record is the verifier's own, so a proof citing a receipt
+        never received for that request — fabricated, or another
+        request's — fails.  It is forgotten with the nonce, so an audit
+        must run within the replay window (twice the freshness window).
+        """
+        trusted = set(self.engine.store.snapshot())
+        if self.nonces.recorded(decision.nonce, decision.receipts):
+            trusted.update(decision.receipts)
+        return trusted
+
     def audit(self, decision: AuthorizationDecision) -> bool:
         """Independently re-check a granted decision's proof tree.
 
         Re-applies every cited axiom to the premise conclusions and
-        checks each premise against the verifier's current beliefs.
+        checks each premise against :meth:`trusted_premises`.
         Raises :class:`repro.core.checker.ProofCheckError` on any
         discrepancy — a tampered or fabricated proof never passes.
         """
@@ -437,7 +498,7 @@ class AuthorizationProtocol:
         if decision.proof is None:
             raise ValueError("decision carries no proof to audit")
         checker = ProofChecker(
-            trusted_premises=set(self.engine.store.snapshot()),
+            trusted_premises=self.trusted_premises(decision),
             aliases=self.engine.alias_map(),
         )
         return checker.check(decision.proof)
@@ -538,10 +599,11 @@ class AuthorizationProtocol:
                     f"certificate ({revoked.conclusion})"
                 )
             # Step 3: believe the signed request parts.
+            beliefs = RequestBeliefs(self.engine.store)
             says_proofs = []
             for part in request.parts:
                 _says_body, says_signed = self.engine.admit_signed_utterance(
-                    part.idealize(), now
+                    part.idealize(), now, beliefs
                 )
                 says_proofs.append(says_signed)
             # Step 4: A38 concludes "G says op", then check the ACL.
@@ -558,7 +620,8 @@ class AuthorizationProtocol:
             return deny(
                 f"ACL grants no {request.operation!r} to group {group!r}"
             )
-        self._remember_nonce(nonce, now)
+        receipts = beliefs.premises()
+        self._remember_nonce(nonce, now, receipts)
         return AuthorizationDecision(
             granted=True,
             reason="access approved",
@@ -572,6 +635,8 @@ class AuthorizationProtocol:
             cache_misses=self._cache_misses.value - misses_before,
             index_probes=self.engine.store.stats()["index_probes"]
             - probes_before,
+            nonce=nonce,
+            receipts=receipts,
         )
 
     # ----------------------------------------------------------- stats

@@ -1,11 +1,15 @@
 """The derivation engine: a verifier principal's reasoning machinery.
 
 A :class:`DerivationEngine` belongs to one verifier (e.g. coalition
-server P).  Its belief store holds the verifier's initial beliefs
-(statements 1-11 of Appendix E) and everything derived from received
-messages.  The engine exposes exactly the inference moves the
-authorization protocol needs; every conclusion carries a proof tree
-citing the paper's axioms by name.
+server P).  Its belief store holds the verifier's standing beliefs: the
+initial beliefs (statements 1-11 of Appendix E) and the admission
+chains of certificates and revocations.  A request's signed parts are
+admitted into a ``beliefs`` target, normally a
+:class:`~repro.core.store.RequestBeliefs`, and its group-says
+conclusion is returned unstored, so what one request derives is
+dropped with its decision.  The engine exposes
+exactly the inference moves the authorization protocol needs; every
+conclusion carries a proof tree citing the paper's axioms by name.
 
 The three workhorse moves are:
 
@@ -22,7 +26,7 @@ The three workhorse moves are:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs.metrics import MetricsRegistry
 from . import axioms
@@ -41,7 +45,7 @@ from .formulas import (
 from .messages import Message, Signed
 from .patterns import AnyTime, match, substitute
 from .proofs import ProofStep
-from .store import BeliefStore
+from .store import BeliefStore, RequestBeliefs
 from .temporal import Temporal
 from .terms import (
     CompoundPrincipal,
@@ -54,6 +58,10 @@ from .terms import (
 )
 
 __all__ = ["DerivationEngine", "DerivationError"]
+
+# Where a derivation step is recorded: the standing store, or one
+# request's beliefs layered over it.
+Beliefs = Union[BeliefStore, RequestBeliefs]
 
 
 class DerivationError(Exception):
@@ -149,10 +157,13 @@ class DerivationEngine:
 
     # --------------------------------------------------------- reception
 
-    def receive(self, message: Message, at_time: int) -> ProofStep:
+    def receive(
+        self, message: Message, at_time: int, beliefs: Optional[Beliefs] = None
+    ) -> ProofStep:
         """Record receipt of a message at the verifier's local time."""
         formula = Received(self.owner, Temporal.point(at_time, self.owner), message)
-        return self.store.add_premise(formula, note="message receipt")
+        target = self.store if beliefs is None else beliefs
+        return target.add_premise(formula, note="message receipt")
 
     # ------------------------------------------------------ basic lookups
 
@@ -193,15 +204,20 @@ class DerivationEngine:
     # ------------------------------------------------- signed admissions
 
     def admit_signed_utterance(
-        self, signed: Signed, received_at: int
+        self,
+        signed: Signed,
+        received_at: int,
+        beliefs: Optional[Beliefs] = None,
     ) -> Tuple[ProofStep, ProofStep]:
         """A10 + A19 on a received signed message.
 
         Returns proofs of ``Q says_{t} X`` and ``Q says_{t} <X>_{K^-1}``
         where Q is the believed owner of the signing key (after alias
-        rewriting for shared keys).
+        rewriting for shared keys).  The receipt and the four derived
+        steps are recorded in ``beliefs`` (default: the standing store).
         """
-        received_proof = self.receive(signed, received_at)
+        target = self.store if beliefs is None else beliefs
+        received_proof = self.receive(signed, received_at, target)
         binding, binding_proof = self.find_key_binding(signed.key, received_at)
         try:
             said_body, said_signed = axioms.a10_originator_identification(
@@ -213,18 +229,18 @@ class DerivationEngine:
         said_body, said_signed = self._rewrite_alias(said_body), self._rewrite_alias(
             said_signed
         )
-        said_body_proof = self.store.add(
+        said_body_proof = target.add(
             ProofStep(said_body, "A10", (binding_proof, received_proof))
         )
-        said_signed_proof = self.store.add(
+        said_signed_proof = target.add(
             ProofStep(said_signed, "A10", (binding_proof, received_proof))
         )
         says_body = axioms.a19_said_to_says(said_body, received_at)
         says_signed = axioms.a19_said_to_says(said_signed, received_at)
-        says_body_proof = self.store.add(
+        says_body_proof = target.add(
             ProofStep(says_body, "A19", (said_body_proof,))
         )
-        says_signed_proof = self.store.add(
+        says_signed_proof = target.add(
             ProofStep(says_signed, "A19", (said_signed_proof,))
         )
         return says_body_proof, says_signed_proof
@@ -330,13 +346,14 @@ class DerivationEngine:
                 time=formula.time,
                 body=substitute(formula.body, inst_bindings),
             )
-            inst_proof = self.store.add(
-                ProofStep(
-                    instantiated,
-                    "inst",
-                    (proof,),
-                    note="universal instantiation of jurisdiction belief",
-                )
+            # The instance lives in the proof tree only: storing one per
+            # admission would make every later jurisdiction query of
+            # this speaker scan them all.
+            inst_proof = ProofStep(
+                instantiated,
+                "inst",
+                (proof,),
+                note="universal instantiation of jurisdiction belief",
             )
             try:
                 axioms.a22_jurisdiction(instantiated, utterance)
@@ -436,7 +453,8 @@ class DerivationEngine:
         """Apply the right A34-A38 instance for the membership's subject.
 
         ``utterance_proofs`` are proofs of ``says`` formulas: one for
-        A34/A35/A36, at least m (signed, key-bound) for A38.
+        A34/A35/A36, at least m (signed, key-bound) for A38.  The
+        conclusion is returned, not stored: no later query reads it.
         """
         membership = membership_proof.conclusion
         if not isinstance(membership, SpeaksForGroup):
@@ -481,9 +499,7 @@ class DerivationEngine:
         except AxiomError as exc:
             raise DerivationError(f"group-says derivation failed: {exc}") from exc
         self._steps_taken.inc()
-        return self.store.add(
-            ProofStep(conclusion, rule, (membership_proof, *utterance_proofs))
-        )
+        return ProofStep(conclusion, rule, (membership_proof, *utterance_proofs))
 
     # ------------------------------------------------------- freshness
 

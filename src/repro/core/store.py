@@ -1,9 +1,13 @@
 """A principal's belief store.
 
-Holds every formula the principal currently believes, each paired with
-the proof step that produced it.  Supports pattern queries (used to find
-jurisdiction schemas and key bindings) and negative-belief tracking for
-revocation ("believe until revoked", Section 4.3).
+Holds the principal's standing beliefs, each paired with the proof step
+that produced it: the initial beliefs (statements 1-11 of Appendix E)
+and the admission chains of certificates and revocations.  What one
+request derives lives in a :class:`RequestBeliefs` that reads through
+to the store and is dropped with the decision.  Supports pattern
+queries (used to find jurisdiction schemas and key bindings) and
+negative-belief tracking for revocation ("believe until revoked",
+Section 4.3).
 
 Queries are served from a **discrimination index** rather than a linear
 scan: every belief is bucketed by its head constructor (``KeySpeaksFor``,
@@ -42,7 +46,7 @@ from .patterns import AnyTime, AnyTimeFrom, Bindings, match
 from .proofs import ProofStep
 from .terms import is_ground
 
-__all__ = ["BeliefStore"]
+__all__ = ["BeliefStore", "RequestBeliefs"]
 
 
 # The field holding each head constructor's natural discrimination key.
@@ -248,14 +252,16 @@ class BeliefStore:
     # -------------------------------------------------------------- forks
 
     def fork(self) -> "BeliefStore":
-        """A cheap copy-on-write clone of this store.
+        """A copy-on-write clone of this store.
 
         The clone observes exactly the beliefs present now and diverges
         independently afterwards: adds on either side never appear on
-        the other.  The belief map is copied shallowly (pointer copy);
-        index entry lists are *shared* and each side copies a bucket
-        lazily before its first post-fork append, so a fork that is
-        never written to costs O(buckets) rather than O(beliefs).
+        the other.  The belief map is copied (O(beliefs) pointer
+        copies); index entry lists are *shared* and each side copies a
+        bucket lazily before its first post-fork append, so the index
+        costs O(buckets) at fork time.  The store holds standing beliefs
+        only (see :class:`RequestBeliefs`), so a fork's cost follows
+        the certificate population, not the traffic served.
 
         This is the primitive behind epoch snapshots in
         :mod:`repro.service`: publishing a policy epoch forks every
@@ -301,3 +307,40 @@ class BeliefStore:
         self._gauge_beliefs.set(len(self._beliefs))
         self._gauge_buckets.set(sum(len(v) for v in self._index.values()))
         return self.metrics.snapshot()
+
+
+class RequestBeliefs:
+    """Beliefs derived while deciding one request, dropped with it.
+
+    The receipt, said/says pairs and group-says conclusion of Steps 3-4
+    are never read by a later query, so they are kept here rather than
+    in the standing :class:`BeliefStore`.  Lookups read through to the
+    standing store and :meth:`add` keeps the first proof of a formula
+    across both, as the store itself does.
+    """
+
+    def __init__(self, standing: BeliefStore) -> None:
+        self.standing = standing
+        self._local: Dict[Formula, ProofStep] = {}
+
+    def proof_of(self, formula: Formula) -> Optional[ProofStep]:
+        proof = self._local.get(formula)
+        return proof if proof is not None else self.standing.proof_of(formula)
+
+    def add(self, proof: ProofStep) -> ProofStep:
+        existing = self.proof_of(proof.conclusion)
+        if existing is not None:
+            return existing
+        self._local[proof.conclusion] = proof
+        return proof
+
+    def add_premise(self, formula: Formula, note: str = "") -> ProofStep:
+        return self.add(ProofStep(conclusion=formula, rule="premise", note=note))
+
+    def premises(self) -> Tuple[Formula, ...]:
+        """The premises this request recorded: its message receipts."""
+        return tuple(
+            formula
+            for formula, proof in self._local.items()
+            if proof.rule == "premise"
+        )

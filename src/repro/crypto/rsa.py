@@ -10,7 +10,7 @@ protocol-shape reproduction (see DESIGN.md substitutions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 from .hashing import full_domain_hash
@@ -73,6 +73,14 @@ class RSAPrivateKey:
     exponent: int  # d
     prime_p: int
     prime_q: int
+    # CRT parameters (d mod p-1, d mod q-1, q^-1 mod p), fixed by the
+    # fields above and computed once here rather than on every use.
+    _crt: Tuple[int, int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        p, q = self.prime_p, self.prime_q
+        crt = (self.exponent % (p - 1), self.exponent % (q - 1), modinv(q, p))
+        object.__setattr__(self, "_crt", crt)
 
     def sign(self, message: bytes) -> int:
         """Produce an RSA-FDH signature using CRT exponentiation."""
@@ -88,11 +96,9 @@ class RSAPrivateKey:
     def _power(self, base: int) -> int:
         """CRT-accelerated modular exponentiation by ``d``."""
         p, q = self.prime_p, self.prime_q
-        dp = self.exponent % (p - 1)
-        dq = self.exponent % (q - 1)
+        dp, dq, q_inv = self._crt
         mp = pow(base % p, dp, p)
         mq = pow(base % q, dq, q)
-        q_inv = modinv(q, p)
         h = (q_inv * (mp - mq)) % p
         return (mq + h * q) % self.modulus
 

@@ -19,8 +19,11 @@ epochs**:
 * ACL-only publishes reuse the shard protocols (belief state did not
   change) and replace just the ACL table, keeping admission caches warm.
 
-Forks are cheap: the belief store shares index buckets copy-on-write,
-so an epoch costs O(buckets) at publish time, not O(beliefs).
+A fork copies each shard store's belief map (O(beliefs) pointer copies)
+and shares its index buckets copy-on-write.  The store holds standing
+beliefs only — premises plus certificate and revocation admission
+chains, never per-request derivations — so publish cost follows the
+certificate population, not the number of requests served.
 """
 
 from __future__ import annotations

@@ -129,8 +129,10 @@ def _child_main(conn, shard: int) -> None:
                         ]
                     # Ship the verdict, not the proof tree: pickling a
                     # proof costs about as much as deriving it, and
-                    # derivation_steps/reason survive without it.
+                    # derivation_steps/reason survive without it.  The
+                    # receipts only serve an audit of that proof.
                     decision.proof = None
+                    decision.receipts = ()
                     payload = decision
                 except Exception as exc:  # noqa: BLE001 - fault isolation
                     payload = ("exc", type(exc).__name__, str(exc))

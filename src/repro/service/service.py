@@ -886,11 +886,13 @@ class AuthorizationService:
             self._complete(ticket, decision)
 
     def _restart_worker(self, shard: int) -> Optional[ShardWorker]:
-        """Replace a crashed worker (supervisor context), or refuse.
+        """Install a replacement for a crashed worker, or refuse.
 
-        Returns ``None`` when the service closed or the breaker tripped
-        while the restart was pending — the supervisor treats both as
-        "this shard is done".
+        Returns the replacement *not yet started*: the supervisor
+        records the restart first, then starts it.  Returns ``None``
+        when the service closed or the breaker tripped while the
+        restart was pending — the supervisor treats both as "this shard
+        is done".
         """
         with self._admission_lock:
             if self._closed or self._breakers[shard].is_open:
@@ -902,7 +904,6 @@ class AuthorizationService:
             )
             self._workers[shard] = worker
             self.worker_restarts.inc()
-        worker.start()
         return worker
 
     def _make_worker(self, shard: int, incarnation: int = 0):

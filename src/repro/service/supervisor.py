@@ -226,6 +226,9 @@ class WorkerSupervisor:
         worker = self._service._restart_worker(shard)
         if worker is None:  # closed, or the breaker tripped meanwhile
             return
+        # Record before starting: a replacement that crashes at once can
+        # trip the breaker and let drain() return, and by then its
+        # restart must already be on record.
         self.events.append(
             RestartEvent(
                 shard=shard,
@@ -235,3 +238,4 @@ class WorkerSupervisor:
                 error_type=error_type,
             )
         )
+        worker.start()

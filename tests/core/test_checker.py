@@ -40,7 +40,7 @@ class TestRealProofs:
     def test_steps_counted(self, granted):
         server, decision = granted
         checker = ProofChecker(
-            trusted_premises=set(server.protocol.engine.store.snapshot()),
+            trusted_premises=server.protocol.trusted_premises(decision),
             aliases=server.protocol.engine.alias_map(),
         )
         checker.check(decision.proof)
