@@ -1,60 +1,120 @@
 """E16 — serving latency and correctness under injected faults.
 
-The chaos run drives the same open-loop stream as ``bench_service.py``
-through a service with a fault plan attached: an ``InjectedFault``
-every 50th evaluation plus one forced worker kill on shard 0.  The
-acceptance bar is the DESIGN.md §11 no-stranding invariant — every
-submitted ticket resolves to a typed decision, the errored count in
-the metrics snapshot matches the injector's ledger, and the latency
-tail is recorded next to the chaos-free control so the overhead of
-surviving faults stays visible in ``BENCH_service.json``.
+The chaos run submits the fixture's request stream
+(``repro.service.fixture``) to a threaded service with a fault plan
+attached: an ``InjectedFault`` every 50th evaluation plus one forced
+worker kill on shard 0.  The acceptance bar is the DESIGN.md §11
+no-stranding invariant — every submitted ticket resolves to a typed
+decision, the errored count in the metrics snapshot matches the
+injector's ledger, and the latency tail is recorded next to the
+chaos-free control so the overhead of surviving faults stays visible
+in ``BENCH_service.json``.
 
 ``SERVICE_BENCH_SMOKE=1`` shrinks the workload for CI smoke runs; the
 acceptance assertions hold in both sizes.
 """
 
 import os
-from dataclasses import replace
+import time
+from dataclasses import asdict, dataclass, field
+from typing import Dict
 
 from repro.obs.metrics import histogram_quantile
-from repro.service.loadgen import LoadgenConfig, build_fixture, run_loadgen
+from repro.service import AuthorizationService, ChaosConfig, FaultInjector
+from repro.service.admission import Errored, Overloaded
+from repro.service.fixture import attach_coalition
+from repro.service.scenarios import percentile
 
 SMOKE = os.environ.get("SERVICE_BENCH_SMOKE") == "1"
 TOTAL_REQUESTS = 60 if SMOKE else 300
+SEED = 23
 
-# Mirrors bench_service.BASE_CONFIG minus revocations: a fixed epoch
-# keeps every decision in the current epoch's registry, so snapshot
-# counters can be compared exactly against the injector's ledger.
-BASE_CONFIG = LoadgenConfig(
-    total_requests=TOTAL_REQUESTS,
-    num_shards=4,
-    queue_depth=1024,
-    read_fraction=0.5,
-    revoke_every=0,
-    num_objects=8,
-    key_bits=256,
-    mode="threaded",
-    seed=23,
+# No revocations: a fixed epoch keeps every decision in the current
+# epoch's registry, so snapshot counters can be compared exactly
+# against the injector's ledger.
+CHAOS = ChaosConfig(
+    raise_every=50,  # ~2% of evaluations fault
+    kill_shard=0,
+    kill_after=5,  # one loop-top kill once shard 0 has served 5
 )
 
-CHAOS_CONFIG = replace(
-    BASE_CONFIG,
-    chaos_raise_every=50,  # ~2% of evaluations fault
-    chaos_kill_shard=0,
-    chaos_kill_after=5,  # one loop-top kill once shard 0 has served 5
-    restart_backoff_s=0.005,
-)
+
+@dataclass
+class ChaosRow:
+    """One run's ``service_report`` row (has ``as_dict``)."""
+
+    config: Dict[str, object] = field(default_factory=dict)
+    wall_s: float = 0.0
+    submitted: int = 0
+    evaluated: int = 0
+    granted: int = 0
+    errored: int = 0
+    overloaded: int = 0
+    worker_crashes: int = 0
+    worker_restarts: int = 0
+    stranded: int = 0
+    p50_ms: float = 0.0
+    p95_ms: float = 0.0
+    p99_ms: float = 0.0
+    max_ms: float = 0.0
+
+    def as_dict(self) -> Dict[str, object]:
+        return asdict(self)
+
+
+def _fixture(chaos):
+    service = AuthorizationService(
+        num_shards=4,
+        queue_depth=1024,
+        freshness_window=10**9,
+        restart_backoff_s=0.005,
+        chaos=chaos,
+    )
+    return attach_coalition(service, num_objects=8, key_bits=256)
+
+
+def _run(fixture, chaos):
+    """Submit the stream, drain, and summarize every ticket."""
+    service = fixture.service
+    start = time.perf_counter()
+    tickets = [
+        service.submit(request, now)
+        for now, request in fixture.stream(TOTAL_REQUESTS, seed=SEED)
+    ]
+    assert service.drain(timeout=60.0), "service wedged"
+    wall = time.perf_counter() - start
+    done = [t for t in tickets if t.done()]
+    served = [t for t in done if not isinstance(t.result(0), Overloaded)]
+    latencies = sorted(t.latency_s for t in served if t.latency_s is not None)
+    stats = service.stats()
+    return ChaosRow(
+        config={"seed": SEED, "requests": TOTAL_REQUESTS, "chaos": asdict(chaos)},
+        wall_s=wall,
+        submitted=stats["service"]["submitted"],
+        evaluated=stats["service"]["evaluated"],
+        granted=stats["service"]["granted"],
+        errored=sum(isinstance(t.result(0), Errored) for t in served),
+        overloaded=len(done) - len(served),
+        worker_crashes=stats["health"]["worker_crashes"],
+        worker_restarts=stats["health"]["worker_restarts"],
+        stranded=len(tickets) - len(done),
+        p50_ms=percentile(latencies, 0.50) * 1000,
+        p95_ms=percentile(latencies, 0.95) * 1000,
+        p99_ms=percentile(latencies, 0.99) * 1000,
+        max_ms=(latencies[-1] * 1000) if latencies else 0.0,
+    )
 
 
 def test_chaos_run_strands_nothing(service_report):
     """Faults every 50th evaluation + one worker kill: full accounting."""
-    fixture = build_fixture(CHAOS_CONFIG)
+    injector = FaultInjector(CHAOS)
+    fixture = _fixture(injector)
     try:
-        report = run_loadgen(CHAOS_CONFIG, fixture)
+        report = _run(fixture, CHAOS)
         service_report("chaos", report)
 
         assert report.stranded == 0, "every ticket must resolve"
-        chaos_stats = fixture.chaos.stats()
+        chaos_stats = injector.stats()
         assert report.errored == chaos_stats["faults_raised"] > 0
         assert report.worker_crashes == chaos_stats["kills_fired"] == 1
         assert report.worker_restarts == 1, "supervisor replaced the worker"
@@ -71,8 +131,9 @@ def test_chaos_run_strands_nothing(service_report):
         assert counters["service.errored"] == report.errored
         assert counters["service.worker_crashes"] == 1
         assert counters["service.worker_restarts"] == 1
-        # The histogram agrees with the loadgen's own percentile math to
-        # within one bucket (nearest-rank over bucket upper bounds).
+        # The histogram agrees with the nearest-rank p95 of the run's
+        # own ticket latencies to within one bucket (nearest-rank over
+        # bucket upper bounds).
         hist_p95_s = histogram_quantile(
             snapshot["histograms"]["service.request_latency_s"], 0.95
         )
@@ -83,13 +144,10 @@ def test_chaos_run_strands_nothing(service_report):
 
 def test_chaos_off_control_is_clean(service_report):
     """The identical stream with injection disabled: zero errored."""
-    config = replace(
-        CHAOS_CONFIG, chaos_raise_every=0, chaos_kill_shard=-1
-    )
-    fixture = build_fixture(config)
+    fixture = _fixture(None)
     try:
-        assert fixture.chaos is None, "no injector when every knob is inert"
-        report = run_loadgen(config, fixture)
+        assert fixture.service.chaos is None, "no injector in the control"
+        report = _run(fixture, ChaosConfig())
         service_report("chaos-off", report)
 
         assert report.stranded == 0

@@ -10,7 +10,7 @@ where feasible — so a perf row only lands if the run was *correct*.
 
 One extra row drives an edge-capable scenario over a real TCP
 connection (``transport="edge"``), so the full network path is
-exercised by scenario traffic too, not only by the loadgen sweeps.
+exercised by scenario traffic too.
 
 ``SERVICE_BENCH_SMOKE=1`` trims the set to the two fastest scenarios
 for CI smoke runs; the invariant assertions hold in both sizes.
@@ -39,7 +39,7 @@ def test_scenarios_record_rows(service_report):
     for name in _names():
         report = runner.run(SCENARIOS[name])
         # The report's own name key lands in the row; prefix it so
-        # scenario rows group together among the loadgen rows.
+        # scenario rows group together among the chaos and WAL rows.
         report.name = f"scenario-{name}"
         service_report(
             report.name,

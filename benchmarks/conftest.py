@@ -26,7 +26,7 @@ _SERVICE_SUMMARY_PATH = pathlib.Path(__file__).resolve().parent.parent / (
 
 @pytest.fixture(scope="session")
 def service_report(request):
-    """Recorder for loadgen reports (``bench_service.py``).
+    """Recorder for service bench rows (chaos, WAL and scenario runs).
 
     Reports accumulate on the session config and are written to
     ``BENCH_service.json`` at session end — independent of the

@@ -134,96 +134,48 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    """E14: drive the sharded service and print the scaling table."""
-    import json
-
-    from repro.service.loadgen import (
-        LoadgenConfig,
-        run_loadgen,
-        run_socket_loadgen,
-        sequential_baseline,
-    )
-
-    def config_for(num_shards: int, queue_depth: int) -> LoadgenConfig:
-        return LoadgenConfig(
-            num_shards=num_shards,
-            queue_depth=queue_depth,
-            total_requests=args.requests,
-            arrival_rate=args.rate,
-            batch_size=args.batch,
-            read_fraction=args.read_fraction,
-            revoke_every=args.revoke_every,
-            num_objects=args.objects,
-            key_bits=args.bits,
-            mode=args.mode,
-            seed=args.seed,
-            socket_clients=args.socket_clients,
-            socket_loop=args.socket_loop,
-            churn_every=args.churn_every,
-        )
-
-    run = run_socket_loadgen if args.transport == "socket" else run_loadgen
-    reports = []
-    baseline = sequential_baseline(config_for(1, args.queue_depth))
-    reports.append(("sequential", baseline))
-    for num_shards in args.shards:
-        report = run(config_for(num_shards, args.queue_depth))
-        reports.append((f"shards={num_shards}", report))
-    if args.overdrive:
-        report = run(config_for(max(args.shards), args.overdrive))
-        reports.append((f"overdrive(depth={args.overdrive})", report))
-
-    if args.json:
-        print(
-            json.dumps(
-                [{"name": name, **r.as_dict()} for name, r in reports],
-                indent=2,
-            )
-        )
-        return 0
-    print(
-        f"{'run':>20} {'rps':>8} {'arps':>8} {'p50ms':>8} {'p95ms':>8} "
-        f"{'p99ms':>8} {'granted':>8} {'denied':>7} {'shed':>5} {'epochs':>7}"
-    )
-    for name, r in reports:
-        print(
-            f"{name:>20} {r.throughput_rps:>8.1f} {r.achieved_rps:>8.1f} "
-            f"{r.p50_ms:>8.2f} {r.p95_ms:>8.2f} {r.p99_ms:>8.2f} "
-            f"{r.granted:>8} {r.denied:>7} {r.overloaded:>5} "
-            f"{r.epochs_published:>7}"
-        )
-    return 0
+def _run_sample(fixture, requests: int, seed: int) -> list:
+    """Submit the fixture's request stream; wait until every ticket resolves."""
+    service = fixture.service
+    tickets = [
+        service.submit(request, now)
+        for now, request in fixture.stream(requests, seed=seed)
+    ]
+    if not service.drain(timeout=60.0):
+        raise RuntimeError("traffic sample did not drain; service wedged?")
+    return tickets
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the asyncio network edge in front of a demo coalition.
 
-    Builds the loadgen fixture (3 domains, read/write threshold
+    Attaches the fixture coalition (3 domains, read/write threshold
     certificates, ``--objects`` registered objects), starts the edge on
     ``--host``/``--port`` and serves until SIGTERM/SIGINT, then drains
     gracefully: stop accepting, flush in-flight tickets, close the
     service.  ``--client-bundle`` exports the signing material a
-    separate-process client (``edge-smoke``, a socket loadgen) needs to
-    produce requests this server will grant; ``--port-file`` writes the
-    bound port for scripts that passed ``--port 0``.
+    separate-process client (``edge-smoke``) needs to produce requests
+    this server will grant; ``--port-file`` writes the bound port for
+    scripts that passed ``--port 0``.
     """
     import signal
     import threading
 
+    from repro.service import AuthorizationService
     from repro.service.edge import serve_in_thread
-    from repro.service.loadgen import LoadgenConfig, build_fixture
+    from repro.service.fixture import attach_coalition
     from repro.service.wire import ClientBundle
 
-    config = LoadgenConfig(
-        num_shards=args.shards,
-        queue_depth=args.queue_depth,
+    fixture = attach_coalition(
+        AuthorizationService(
+            num_shards=args.shards,
+            queue_depth=args.queue_depth,
+            freshness_window=10**9,
+            mode=args.mode,
+        ),
         num_objects=args.objects,
         key_bits=args.bits,
-        mode=args.mode,
-        seed=args.seed,
     )
-    fixture = build_fixture(config)
     stop = threading.Event()
 
     def _on_signal(signum, frame):  # noqa: ARG001 - signal handler shape
@@ -311,44 +263,6 @@ def _cmd_edge_smoke(args: argparse.Namespace) -> int:
     return 0 if granted == args.requests else 1
 
 
-def _traced_demo_service(bits: int):
-    """A demo coalition fronted by a tracing, audited service.
-
-    Shared by ``explain`` and ``metrics``: three domains, one object
-    with read/write groups, and an inline-mode
-    :class:`~repro.service.AuthorizationService` with tracing on and a
-    hash-chained audit log attached.
-    """
-    from repro.coalition import ACLEntry, AuditLog, Coalition, Domain
-    from repro.pki import ValidityPeriod
-    from repro.service import AuthorizationService
-
-    domains = [Domain(f"D{i}", key_bits=bits) for i in (1, 2, 3)]
-    users = [
-        d.register_user(f"User_D{i}", now=0)
-        for i, d in enumerate(domains, start=1)
-    ]
-    coalition = Coalition("cli-explain", key_bits=bits)
-    coalition.form(domains)
-    service = AuthorizationService(
-        name="ServiceP",
-        num_shards=2,
-        mode="inline",
-        tracing=True,
-        audit_log=AuditLog(key_bits=bits),
-    )
-    coalition.attach_server(service)
-    service.register_object(
-        "ObjectO",
-        [ACLEntry.of("G_write", ["write"]), ACLEntry.of("G_read", ["read"])],
-        admin_group="G_admin",
-    )
-    tac = coalition.authority.issue_threshold_certificate(
-        users, 2, "G_write", 1, ValidityPeriod(1, 1000)
-    )
-    return coalition, users, service, tac
-
-
 def _cmd_explain(args: argparse.Namespace) -> int:
     """Replay one joint request with tracing on and render the trace.
 
@@ -358,16 +272,26 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     """
     import json
 
-    from repro.coalition import build_joint_request
+    from repro.coalition import AuditLog, build_joint_request
     from repro.core.proofs import render_proof
     from repro.obs.trace import render_span
+    from repro.service import AuthorizationService
+    from repro.service.fixture import attach_coalition
 
-    coalition, users, service, tac = _traced_demo_service(args.bits)
+    service = AuthorizationService(
+        num_shards=2,
+        mode="manual",
+        tracing=True,
+        audit_log=AuditLog(key_bits=args.bits),
+    )
     try:
+        fixture = attach_coalition(service, num_objects=1, key_bits=args.bits)
+        users = fixture.users
         request = build_joint_request(
-            users[0], [users[1]], "write", "ObjectO", tac, now=2
+            users[0], [users[1]], "write", "Obj0", fixture.write_cert, now=2
         )
         ticket = service.submit(request, now=3)
+        service.pump()
         decision = ticket.result()
         trace = service.tracer.find_trace(ticket.trace_id)
         assert trace is not None
@@ -401,25 +325,21 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     import json
 
     from repro.obs.metrics import validate_snapshot
-    from repro.service.loadgen import LoadgenConfig, build_fixture, run_loadgen
+    from repro.service import AuthorizationService
+    from repro.service.fixture import attach_coalition
 
-    config = LoadgenConfig(
-        num_shards=args.shards,
-        total_requests=args.requests,
-        key_bits=args.bits,
-        mode="threaded",
-        tracing=args.tracing,
-        seed=args.seed,
+    service = AuthorizationService(
+        num_shards=args.shards, freshness_window=10**9, tracing=args.tracing
     )
-    fixture = build_fixture(config)
     try:
-        run_loadgen(config, fixture)
-        snapshot = fixture.service.metrics_snapshot()
+        fixture = attach_coalition(service, key_bits=args.bits)
+        _run_sample(fixture, args.requests, args.seed)
+        snapshot = service.metrics_snapshot()
         validate_snapshot(snapshot)
         print(json.dumps(snapshot, indent=2, sort_keys=True))
         return 0
     finally:
-        fixture.service.close()
+        service.close()
 
 
 def _cmd_health(args: argparse.Namespace) -> int:
@@ -432,24 +352,32 @@ def _cmd_health(args: argparse.Namespace) -> int:
     """
     import json
 
-    from repro.service.loadgen import LoadgenConfig, build_fixture, run_loadgen
+    from repro.service import AuthorizationService, ChaosConfig, FaultInjector
+    from repro.service.fixture import attach_coalition
 
-    config = LoadgenConfig(
+    chaos = None
+    if args.chaos_raise_every or args.kill_shard >= 0:
+        chaos = FaultInjector(
+            ChaosConfig(
+                raise_every=args.chaos_raise_every,
+                kill_shard=args.kill_shard,
+                kill_after=args.kill_after,
+            )
+        )
+    service = AuthorizationService(
         num_shards=args.shards,
-        total_requests=args.requests,
-        key_bits=args.bits,
-        mode="threaded",
-        seed=args.seed,
         queue_depth=args.queue_depth,
-        chaos_raise_every=args.chaos_raise_every,
-        chaos_kill_shard=args.kill_shard,
-        chaos_kill_after=args.kill_after,
+        freshness_window=10**9,
         restart_backoff_s=0.01,
+        chaos=chaos,
     )
-    fixture = build_fixture(config)
     try:
-        report = run_loadgen(config, fixture)
-        probe = fixture.service.health()
+        fixture = attach_coalition(service, key_bits=args.bits)
+        tickets = _run_sample(fixture, args.requests, args.seed)
+        stranded = sum(1 for ticket in tickets if not ticket.done())
+        stats = service.stats()
+        traffic, health = stats["service"], stats["health"]
+        probe = service.health()
         if args.json:
             print(json.dumps(probe, indent=2, sort_keys=True))
         else:
@@ -466,11 +394,12 @@ def _cmd_health(args: argparse.Namespace) -> int:
                 f"ready_shards={ready['ready_shards']}/{ready['total_shards']}"
             )
             print(
-                f"traffic:   evaluated={report.evaluated} "
-                f"errored={report.errored} overloaded={report.overloaded} "
-                f"crashes={report.worker_crashes} "
-                f"restarts={report.worker_restarts} "
-                f"stranded={report.stranded}"
+                f"traffic:   evaluated={traffic['evaluated']} "
+                f"errored={traffic['errored']} "
+                f"overloaded={traffic['overloaded']} "
+                f"crashes={health['worker_crashes']} "
+                f"restarts={health['worker_restarts']} "
+                f"stranded={stranded}"
             )
             print(
                 f"{'shard':>5} {'alive':>6} {'breaker':>8} {'crashes':>8} "
@@ -485,7 +414,7 @@ def _cmd_health(args: argparse.Namespace) -> int:
                 )
         return 0 if probe["readiness"]["ready"] else 1
     finally:
-        fixture.service.close()
+        service.close()
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -667,60 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
     dynamics.add_argument("--certs", type=int, nargs="+", default=[1, 5, 15])
     dynamics.set_defaults(func=_cmd_dynamics)
 
-    serve = sub.add_parser(
-        "serve-bench",
-        help="E14 sharded-service throughput/latency sweep",
-    )
-    serve.add_argument(
-        "--shards", type=int, nargs="+", default=[1, 2, 4],
-        help="shard counts to sweep",
-    )
-    serve.add_argument("--requests", type=int, default=200)
-    serve.add_argument(
-        "--rate", type=float, default=0.0,
-        help="open-loop arrival rate in req/s (0 = max pressure)",
-    )
-    serve.add_argument("--queue-depth", type=int, default=256)
-    serve.add_argument(
-        "--mode", choices=["threaded", "process", "manual", "inline"],
-        default="threaded",
-        help="worker mode (process = per-shard worker processes)",
-    )
-    serve.add_argument(
-        "--batch", type=int, default=1,
-        help="client batch size: submit_batch every k arrivals",
-    )
-    serve.add_argument("--read-fraction", type=float, default=0.5)
-    serve.add_argument(
-        "--revoke-every", type=int, default=25,
-        help="publish a revocation epoch every k arrivals (0 = off)",
-    )
-    serve.add_argument("--objects", type=int, default=8)
-    serve.add_argument("--bits", type=int, default=256)
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument(
-        "--overdrive", type=int, default=0, metavar="DEPTH",
-        help="extra run with this tiny queue depth to show load shedding",
-    )
-    serve.add_argument("--json", action="store_true")
-    serve.add_argument(
-        "--transport", choices=["inproc", "socket"], default="inproc",
-        help="socket = drive the sweep through the asyncio edge over TCP",
-    )
-    serve.add_argument(
-        "--socket-loop", choices=["closed", "open"], default="closed",
-        help="socket transport loop discipline (open uses --rate pacing)",
-    )
-    serve.add_argument(
-        "--socket-clients", type=int, default=4,
-        help="concurrent client connections for the socket transport",
-    )
-    serve.add_argument(
-        "--churn-every", type=int, default=0,
-        help="closed-loop socket: reconnect each connection every k requests",
-    )
-    serve.set_defaults(func=_cmd_serve_bench)
-
     serve_cmd = sub.add_parser(
         "serve",
         help="run the asyncio network edge until SIGTERM (graceful drain)",
@@ -736,7 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument(
         "--mode", choices=["threaded", "process"], default="threaded"
     )
-    serve_cmd.add_argument("--seed", type=int, default=0)
     serve_cmd.add_argument("--drain-timeout", type=float, default=30.0)
     serve_cmd.add_argument(
         "--client-bundle", default="", metavar="PATH",
@@ -856,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--seed", type=int, default=0)
     scenario.add_argument("--shards", type=int, default=2)
     scenario.add_argument(
-        "--mode", choices=["threaded", "process", "manual", "inline"],
+        "--mode", choices=["threaded", "process", "manual"],
         default="manual",
         help="service mode (manual replays deterministically)",
     )

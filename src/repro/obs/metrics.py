@@ -138,7 +138,7 @@ class Histogram:
             return 0.0
         if not 0 <= q <= 1:
             raise ValueError("quantile q must be in [0, 1]")
-        # Deterministic nearest-rank (ceil), matching loadgen.percentile.
+        # Deterministic nearest-rank (ceil), matching scenarios.percentile.
         rank = max(1, ceil(q * self._count))
         seen = 0
         for i, c in enumerate(self._counts):

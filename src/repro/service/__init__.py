@@ -12,10 +12,10 @@ and provides what a single per-request protocol instance cannot:
   worker restarts with circuit breaking (``supervisor``), liveness and
   readiness probes (``health``), and a deterministic fault injector for
   adversarial testing (``chaos``),
-* an open-loop workload driver with latency percentiles (``loadgen``),
 * an asyncio TCP front door speaking a length-prefixed JSON protocol
-  (``edge``/``wire``), with closed- and open-loop socket modes in the
-  workload driver,
+  (``edge``/``wire``),
+* the three-domain read/write coalition and its deterministic request
+  stream that the CLI, WAL replay and benchmarks serve (``fixture``),
 * a seedable scenario engine replaying coalition life — membership
   storms, flash crowds, federation, adversaries — under standing
   invariants (``scenarios``).
@@ -37,7 +37,7 @@ from .chaos import ChaosConfig, FaultInjector, InjectedFault, WorkerKilled
 from .edge import EdgeHandle, EdgeServer, serve_in_thread
 from .epoch import Epoch, EpochManager, PolicyEntry
 from .health import ShardHealth, health_report, liveness, readiness
-from .loadgen import LoadgenConfig, LoadgenReport, run_loadgen, run_socket_loadgen
+from .fixture import CoalitionFixture, attach_coalition
 from .scenarios import (
     SCENARIOS,
     DynamicsBridge,
@@ -72,10 +72,8 @@ __all__ = [
     "health_report",
     "liveness",
     "readiness",
-    "LoadgenConfig",
-    "LoadgenReport",
-    "run_loadgen",
-    "run_socket_loadgen",
+    "CoalitionFixture",
+    "attach_coalition",
     "SCENARIOS",
     "DynamicsBridge",
     "ScenarioReport",

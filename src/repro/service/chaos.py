@@ -26,10 +26,10 @@ Every fault kind is reproducible:
   prove admission-time pinning holds under churn).
 
 Counting faults (``raise_every``, ``at``) are deterministic given the
-evaluation order; under ``manual``/``inline`` service modes that order
+evaluation order; under the ``manual`` service mode that order
 is the admission order, so runs replay exactly.  Probabilistic faults
 (``raise_prob``) draw from one ``random.Random(seed)`` stream: the
-*number* of faults is reproducible in serialized modes, and in
+*number* of faults is reproducible in manual mode, and in
 threaded mode the stream still makes runs statistically comparable.
 """
 

@@ -460,7 +460,7 @@ def serve_in_thread(
 ) -> EdgeHandle:
     """Start an edge on a daemon thread; returns once the port is bound.
 
-    The loadgen's socket modes and the conformance tests use this: the
+    Scenarios, benchmarks and the conformance tests use this: the
     test/driver thread stays synchronous while the edge's event loop
     runs beside it, exactly like the ``serve`` CLI process but
     in-process.

@@ -68,7 +68,7 @@ class ShardHealth:
 
 
 def shard_health(service: "AuthorizationService") -> List[ShardHealth]:
-    """Probe every shard.  Serialized modes count as always-alive."""
+    """Probe every shard.  Manual mode counts as always-alive."""
     current_epoch = service.epochs.current.epoch_id
     supervisor = service.supervisor
     out: List[ShardHealth] = []

@@ -29,7 +29,7 @@ and again at completion:
 
 Runs are deterministic under a fixed seed: the same seed produces the
 same **event trace digest** (canonical bytes of every event executed)
-and — in serialized modes — the same **decision stream digest**
+and — in manual mode — the same **decision stream digest**
 (canonical decision documents in submission order).  Grant/deny
 documents carry no shard identity, so oracle-feasible scenarios digest
 identically at 1 and 4 shards.
@@ -55,6 +55,7 @@ import random
 import re
 import time
 from dataclasses import dataclass, field
+from math import ceil
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..coalition.acl import ACLEntry
@@ -66,7 +67,6 @@ from ..pki.certificates import ValidityPeriod
 from ..pki.serialization import canonical_bytes
 from .admission import Ticket
 from .chaos import ChaosConfig, FaultInjector
-from .loadgen import percentile, zipf_index
 from .service import AuthorizationService
 from .wire import decision_to_dict, decision_wire_bytes
 
@@ -89,7 +89,63 @@ __all__ = [
     "RevokeCert",
     "SnapshotCert",
     "Checkpoint",
+    # sampling helpers
+    "percentile",
+    "zipf_index",
 ]
+
+
+# ---------------------------------------------------------------- sampling
+
+
+def percentile(sorted_values: List[float], q: float) -> float:
+    """Nearest-rank percentile of an ascending list (0 when empty).
+
+    Deterministic nearest-rank definition: the smallest value with at
+    least ``ceil(q * n)`` observations at or below it.  The previous
+    implementation used Python's ``round()``, whose banker's rounding
+    ties-to-even made adjacent sample counts report *different* ranks
+    for the same quantile (e.g. p50 of 4 vs 6 samples) — a bias that
+    showed up as benchmark noise.  ``ceil`` never rounds down past the
+    requested mass and has no tie cases.
+
+    ``q`` is a fraction in [0, 1].  A ``q > 1`` — almost always a
+    caller passing ``95`` where ``0.95`` was meant — used to be
+    silently clamped to the max by the ``min(len, ceil(q*n))`` rank
+    clamp, reporting a tail that looked plausible and was wrong; it is
+    now a :class:`ValueError`.
+    """
+    if q > 1:
+        raise ValueError(
+            f"percentile fraction must be in [0, 1], got {q} "
+            "(did you pass a percent instead of a fraction?)"
+        )
+    if not sorted_values:
+        return 0.0
+    if q <= 0:
+        return sorted_values[0]
+    rank = min(len(sorted_values), ceil(q * len(sorted_values)))
+    return sorted_values[rank - 1]
+
+
+def zipf_index(rng: random.Random, n: int, s: float) -> int:
+    """Draw a rank in ``[0, n)`` from a zipf(s) distribution.
+
+    Rank 0 is the hottest key; weights are ``1 / (rank + 1) ** s``.
+    Inverse-CDF sampling over the normalized weights, one ``rng``
+    draw per call, so streams are deterministic under a fixed seed.
+    """
+    if n < 1:
+        raise ValueError("zipf_index needs at least one item")
+    weights = [1.0 / (rank + 1) ** s for rank in range(n)]
+    total = sum(weights)
+    u = rng.random() * total
+    acc = 0.0
+    for rank, weight in enumerate(weights):
+        acc += weight
+        if u < acc:
+            return rank
+    return n - 1
 
 
 # ------------------------------------------------------------------ events

@@ -28,12 +28,12 @@
 
 Execution modes: ``threaded`` (one worker thread per shard),
 ``process`` (one worker **process** per shard, fed over a pipe —
-see :mod:`repro.service.procworker`), ``manual`` (tickets queue until
-:meth:`pump`, deterministic — what the epoch tests drive), and
-``inline`` (evaluate during :meth:`submit`).  The evaluation path is
-identical in all four; the mode only changes *where/when* it runs.
-In serialized modes a "worker crash" (chaos ``WorkerKilled``) burns
-the same restart budget, but the restart is logical — the pump simply
+see :mod:`repro.service.procworker`), and ``manual`` (tickets queue
+until :meth:`pump` or :meth:`authorize`, deterministic — what the
+epoch tests, scenarios and replay drive).  The evaluation path is
+identical in all three; the mode only changes *where/when* it runs.
+In manual mode a "worker crash" (chaos ``WorkerKilled``) burns the
+same restart budget, but the restart is logical — the pump simply
 keeps draining.
 
 Admission and completion are **batched** (DESIGN.md §12): callers can
@@ -79,9 +79,9 @@ from ..storage.wal import EpochRecord
 
 __all__ = ["AuthorizationService", "ServiceError"]
 
-_MODES = ("threaded", "process", "manual", "inline")
-# Modes with live per-shard workers (threads or processes) vs. the
-# serialized modes where the caller's pump is the worker.
+_MODES = ("threaded", "process", "manual")
+# Modes with live per-shard workers (threads or processes) vs. manual
+# mode, where the caller's pump is the worker.
 _WORKER_MODES = ("threaded", "process")
 
 
@@ -171,7 +171,7 @@ class AuthorizationService:
         # which duck-type the ShardWorker surface supervision uses.
         self._workers: List[Optional[ShardWorker]] = [None] * num_shards
         # Supervision: one crash budget per shard.  supervise only has
-        # meaning in worker modes (serialized modes restart logically).
+        # meaning in worker modes (manual mode restarts logically).
         self._supervise = supervise and mode in _WORKER_MODES
         self._breakers = [
             CircuitBreaker(
@@ -475,10 +475,6 @@ class AuthorizationService:
         for shard, count in arrivals.items():
             with self._shard_admission_locks[shard]:
                 self._shard_submitted[shard] += count
-        if self.mode == "inline":
-            for ticket in results:
-                if not ticket.done():
-                    self._pump_until(ticket)
         return results
 
     def _push_group(
@@ -817,8 +813,8 @@ class AuthorizationService:
 
         Resolves the in-hand ticket (if any) as errored, charges the
         shard's restart budget, and either schedules a replacement
-        worker (threaded), performs a logical restart (serialized
-        modes), or trips the breaker and fails the queue over.
+        worker (threaded), performs a logical restart (manual
+        mode), or trips the breaker and fails the queue over.
         """
         error_type = type(exc).__name__
         if ticket is not None and not ticket.done():
@@ -843,7 +839,7 @@ class AuthorizationService:
             assert self.supervisor is not None
             self.supervisor.schedule_restart(shard, backoff, error_type)
         else:
-            # Serialized modes have no thread to replace: the restart is
+            # Manual mode has no thread to replace: the restart is
             # logical (the pump keeps draining) but burns the same budget.
             with self._admission_lock:
                 self.worker_restarts.inc()
@@ -929,13 +925,13 @@ class AuthorizationService:
             max_batch=self.max_batch,
         )
 
-    # ----------------------------------------------- manual/inline pumping
+    # ------------------------------------------------------ manual pumping
 
     def _pump_one(self) -> bool:
         """Evaluate the globally oldest queued ticket, if any.
 
         Draining in sequence order keeps nonce-predecessor chains from
-        ever waiting on a not-yet-evaluated ticket in serialized modes.
+        ever waiting on a not-yet-evaluated ticket in manual mode.
         """
         best_shard, best_seq = -1, None
         for shard, queue in enumerate(self._queues):
@@ -949,14 +945,14 @@ class AuthorizationService:
         try:
             self._evaluate(ticket)
         except WorkerKilled as exc:
-            # Serialized-mode "worker crash": same budget, logical restart.
+            # Manual-mode "worker crash": same budget, logical restart.
             self._handle_crash(best_shard, exc, ticket)
         return True
 
     def pump(self, max_tickets: Optional[int] = None) -> int:
         """Drain queued tickets synchronously (``manual`` mode's engine)."""
-        if self.mode == "threaded":
-            raise ServiceError("pump() is for manual/inline modes")
+        if self.mode in _WORKER_MODES:
+            raise ServiceError(f"pump() is for manual mode, not {self.mode!r}")
         processed = 0
         while (max_tickets is None or processed < max_tickets) and self._pump_one():
             processed += 1
@@ -1089,7 +1085,7 @@ class AuthorizationService:
         return [len(queue) for queue in self._queues]
 
     def workers_alive(self) -> int:
-        """Live workers (serialized modes: every shard counts)."""
+        """Live workers (manual mode: every shard counts)."""
         if self.mode not in _WORKER_MODES:
             return self.num_shards
         return sum(

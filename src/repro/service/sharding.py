@@ -8,13 +8,13 @@ CRC32, not Python's salted ``hash()``, so placement is stable across
 processes and runs — benchmarks and the parity fuzzer rely on that.
 
 A :class:`ShardWorker` is one daemon thread draining one bounded queue.
-Everything it does is also correct fully serialized (the ``inline`` and
-``manual`` service modes drive the same evaluation path without
-threads).  Idle workers block on the queue's condition variable —
-there is no poll cadence; ``stop()`` wakes a blocked worker through
-the queue.  A worker that exits its loop with an exception (including
-a chaos :class:`~repro.service.chaos.WorkerKilled`) records the crash
-and reports it through ``on_crash`` so the supervision layer
+Everything it does is also correct fully serialized (the ``manual``
+service mode drives the same evaluation path without threads).  Idle
+workers block on the queue's condition variable — there is no poll
+cadence; ``stop()`` wakes a blocked worker through the queue.  A
+worker that exits its loop with an exception (including a chaos
+:class:`~repro.service.chaos.WorkerKilled`) records the crash and
+reports it through ``on_crash`` so the supervision layer
 (:mod:`repro.service.supervisor`) can restart or fail the shard over —
 never a silent thread death.
 """

@@ -23,8 +23,8 @@ certificates).  It never verifies a signature and never evaluates
 policy — all authorization stays behind
 :class:`~repro.service.service.AuthorizationService`.
 
-:class:`EdgeClient` is the blocking-socket client the closed-loop
-loadgen, the conformance tests and the ``edge-smoke`` CLI use; the
+:class:`EdgeClient` is the blocking-socket client the scenario
+engine, the conformance tests and the ``edge-smoke`` CLI use; the
 server side lives in :mod:`repro.service.edge`.  :class:`ClientBundle`
 carries the key material a *separate-process* client needs to sign
 requests the server will accept (the ``serve --client-bundle`` /

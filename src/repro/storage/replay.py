@@ -20,26 +20,20 @@ key-dependent bytes) are excluded from ``payload_bytes()`` by design —
 each run's chain is signed by its own signer and verified against that
 signer's public key.
 
-Scenarios run the service in **inline** mode: evaluation happens in
-submission order even at 4 shards, so the audit append order is a
-function of the manifest, not the scheduler.
+Scenarios run the service in **manual** mode and decide each request
+before submitting the next: evaluation happens in submission order
+even at 4 shards, so the audit append order is a function of the
+manifest, not the scheduler.
 """
 
 from __future__ import annotations
 
-import random
 import tempfile
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
-from ..coalition import (
-    ACLEntry,
-    Coalition,
-    Domain,
-    build_joint_request,
-)
 from ..coalition.audit import AuditEntry, AuditLog
-from ..pki import ValidityPeriod
+from ..service.fixture import attach_coalition
 from ..service.service import AuthorizationService
 from .recovery import RecoveredLog, recover
 from .wal import EpochRecord, WalError, public_key_from_doc
@@ -86,63 +80,22 @@ class ScenarioResult:
     wal_stats: Dict[str, int] = field(default_factory=dict)
 
 
-def _build_fixture(manifest: ReplayManifest, service: AuthorizationService):
-    """Form the canonical 3-domain replay coalition around ``service``."""
-    domains = [
-        Domain(f"RD{i}", key_bits=manifest.key_bits) for i in (1, 2, 3)
-    ]
-    users = [
-        d.register_user(f"RUser{i}", now=0)
-        for i, d in enumerate(domains, start=1)
-    ]
-    coalition = Coalition("replay", key_bits=manifest.key_bits)
-    coalition.form(domains)
-    coalition.attach_server(service)
-    object_names = [f"Obj{i}" for i in range(manifest.num_objects)]
-    for name in object_names:
-        service.register_object(
-            name,
-            [ACLEntry.of("G_read", ["read"]), ACLEntry.of("G_write", ["write"])],
-            admin_group="G_admin",
-        )
-    validity = ValidityPeriod(0, 10**9)
-    read_cert = coalition.authority.issue_threshold_certificate(
-        users, 1, "G_read", 0, validity
-    )
-    write_cert = coalition.authority.issue_threshold_certificate(
-        users, 2, "G_write", 0, validity
-    )
-    victim_certs = []
-    if manifest.revoke_every:
-        n_events = manifest.total_requests // manifest.revoke_every + 1
-        victim_certs = [
-            coalition.authority.issue_threshold_certificate(
-                users, 2, "G_victim", 0, validity
-            )
-            for _ in range(n_events)
-        ]
-    return coalition, users, object_names, read_cert, write_cert, victim_certs
-
-
 def run_scenario(
     manifest: ReplayManifest,
     wal_dir: str,
     sync_every: int = 64,
     segment_bytes: int = 1 << 20,
 ) -> ScenarioResult:
-    """Drive the manifest's workload into a WAL-backed inline service.
+    """Drive the manifest's workload into a WAL-backed manual service.
 
-    The stream is a deterministic function of the manifest: per
-    request, the RNG picks an object and rolls the grant/deny mix —
-    a read (granted), a write presented with the *read* certificate
-    (a genuine deny), or a co-signed write (granted) — and every
-    ``revoke_every``-th arrival first publishes a victim-certificate
-    revocation as a new epoch.
+    The stream is :meth:`~repro.service.fixture.CoalitionFixture.stream`
+    with the manifest's mix, a deterministic function of the manifest.
+    Each request is decided before the next one is submitted.
     """
     service = AuthorizationService(
         name="ReplayP",
         num_shards=manifest.num_shards,
-        mode="inline",
+        mode="manual",
         freshness_window=manifest.freshness_window,
         wal_dir=wal_dir,
         wal_manifest=manifest.as_dict(),
@@ -150,47 +103,17 @@ def run_scenario(
         wal_segment_bytes=segment_bytes,
     )
     try:
-        (
-            coalition,
-            users,
-            object_names,
-            read_cert,
-            write_cert,
-            victim_certs,
-        ) = _build_fixture(manifest, service)
-        rng = random.Random(manifest.seed)
-        victims = list(victim_certs)
-        for i in range(manifest.total_requests):
-            if (
-                manifest.revoke_every
-                and i
-                and i % manifest.revoke_every == 0
-                and victims
-            ):
-                revocation = coalition.authority.revoke_certificate(
-                    victims.pop(), now=i
-                )
-                service.publish_revocation(revocation, now=i)
-            obj = rng.choice(object_names)
-            now = i + 1
-            roll = rng.random()
-            if roll < manifest.read_fraction:
-                request = build_joint_request(
-                    users[0], [], "read", obj,
-                    read_cert, now=now, nonce=f"rp-r-{i}",
-                )
-            elif roll < manifest.read_fraction + manifest.deny_fraction:
-                # The read certificate cannot authorize a write: denied.
-                request = build_joint_request(
-                    users[0], [], "write", obj,
-                    read_cert, now=now, nonce=f"rp-d-{i}",
-                )
-            else:
-                request = build_joint_request(
-                    users[0], [users[1]], "write", obj,
-                    write_cert, now=now, nonce=f"rp-w-{i}",
-                )
-            service.submit(request, now)
+        fixture = attach_coalition(
+            service, manifest.num_objects, manifest.key_bits
+        )
+        for now, request in fixture.stream(
+            manifest.total_requests,
+            seed=manifest.seed,
+            read_fraction=manifest.read_fraction,
+            deny_fraction=manifest.deny_fraction,
+            revoke_every=manifest.revoke_every,
+        ):
+            service.authorize(request, now)
         entries = service.audit_log.entries()
         stats = service.stats()
         wal_stats = service.wal.stats()

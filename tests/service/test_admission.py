@@ -150,12 +150,15 @@ class TestNonceBarrier:
 
 
 class TestLifecycle:
-    def test_inline_mode_resolves_at_submit(self, service_coalition):
+    def test_manual_mode_authorize_resolves_at_submit(self, service_coalition):
         ctx, make_service = service_coalition
-        service = make_service(mode="inline", num_shards=2)
+        service = make_service(mode="manual", num_shards=2)
         users, cert = ctx["users"], ctx["read_cert"]
-        ticket = service.submit(_read(users, cert, "ObjectO", 5, "il-0"), now=5)
-        assert ticket.done() and ticket.result().granted
+        decision = service.authorize(
+            _read(users, cert, "ObjectO", 5, "il-0"), now=5
+        )
+        assert decision.granted
+        assert service.stats()["service"]["outstanding"] == 0
 
     def test_submit_after_close_raises(self, service_coalition):
         ctx, make_service = service_coalition

@@ -15,8 +15,6 @@ Also pinned here: the typed shed translations (``Overloaded`` →
 healthz/readyz probe payloads against a tripped-breaker service.
 """
 
-import random
-
 import pytest
 
 from repro.coalition import build_joint_request
@@ -26,6 +24,7 @@ from repro.service.edge import (
     RETRY_AFTER_OVERLOADED_S,
     serve_in_thread,
 )
+from repro.service.fixture import CoalitionFixture
 from repro.service.wire import (
     EdgeClient,
     decision_to_dict,
@@ -34,28 +33,16 @@ from repro.service.wire import (
 
 
 def _seeded_stream(ctx, seed, count, objects=("ObjectO", "ObjectP")):
-    """The same deterministic read/write mix the loadgen uses."""
-    rng = random.Random(seed)
-    users = ctx["users"]
-    stream = []
-    for i in range(count):
-        obj = rng.choice(objects)
-        now = i + 1
-        if rng.random() < 0.5:
-            stream.append(
-                build_joint_request(
-                    users[0], [], "read", obj,
-                    ctx["read_cert"], now=now, nonce=f"par-r-{seed}-{i}",
-                )
-            )
-        else:
-            stream.append(
-                build_joint_request(
-                    users[0], [users[1]], "write", obj,
-                    ctx["write_cert"], now=now, nonce=f"par-w-{seed}-{i}",
-                )
-            )
-    return stream
+    """The fixture's deterministic read/write mix over this coalition."""
+    fixture = CoalitionFixture(
+        service=None,  # no revocations: the stream never touches it
+        coalition=ctx["coalition"],
+        users=ctx["users"],
+        object_names=list(objects),
+        read_cert=ctx["read_cert"],
+        write_cert=ctx["write_cert"],
+    )
+    return [request for _, request in fixture.stream(count, seed=seed)]
 
 
 class TestByteParity:

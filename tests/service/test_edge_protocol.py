@@ -264,3 +264,64 @@ class TestLiveServer:
             assert client.healthz()["status"] == 200
             request = _read(ctx["users"], ctx["read_cert"], "ObjectP", 9, "lv-3")
             assert client.authorize(request, now=9)["decision"]["granted"]
+
+    def test_connection_churn_answers_every_request_once(self, live_edge):
+        """Clients that reconnect every k requests lose no response.
+
+        Three closed-loop clients share 40 requests and each opens a
+        fresh connection after every 5 it sends.  Every request id must
+        come back exactly once, as a decision, on the connection that
+        sent it.
+        """
+        import threading
+
+        ctx, service, handle = live_edge
+        total, churn_every = 40, 5
+        requests = [
+            _read(
+                ctx["users"], ctx["read_cert"], ("ObjectO", "ObjectP")[i % 2],
+                i + 1, f"churn-{i}",
+            )
+            for i in range(total)
+        ]
+        responses = {i: [] for i in range(total)}
+        indices = iter(range(total))
+        lock = threading.Lock()
+        errors = []
+
+        def client_loop():
+            client = EdgeClient("127.0.0.1", handle.port)
+            sent = 0
+            try:
+                while True:
+                    with lock:
+                        i = next(indices, None)
+                    if i is None:
+                        return
+                    if sent == churn_every:
+                        client.close()
+                        client = EdgeClient("127.0.0.1", handle.port)
+                        sent = 0
+                    responses[i].append(
+                        client.authorize(requests[i], now=i + 1, req_id=i)
+                    )
+                    sent += 1
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+            finally:
+                client.close()
+
+        threads = [threading.Thread(target=client_loop) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not errors
+        assert not any(thread.is_alive() for thread in threads)
+        for i, got in responses.items():
+            assert len(got) == 1, f"request {i}: {len(got)} responses"
+            assert got[0]["kind"] == "decision" and got[0]["id"] == i
+            assert got[0]["decision"]["granted"]
+        # No connection carried more than ``churn_every`` requests.
+        assert handle.stats()["connections_total"] >= total // churn_every
+        assert service.stats()["service"]["submitted"] == total

@@ -90,6 +90,14 @@ def test_process_mode_health_probes(service_coalition):
     assert service.workers_alive() == 0
 
 
+def test_pump_rejected_in_process_mode(service_coalition):
+    """The dispatcher threads own the queues; a caller pump would race them."""
+    _, make_service = service_coalition
+    service = make_service(mode="process", num_shards=2)
+    with pytest.raises(ServiceError, match="manual mode"):
+        service.pump()
+
+
 def test_process_cross_shard_replay_is_denied(service_coalition):
     """A nonce granted on one shard's process denies on another's.
 

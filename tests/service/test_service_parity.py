@@ -26,8 +26,16 @@ from .conftest import ACL_ENTRIES, WINDOW
 FRESHNESS = 50
 
 
-def _drive(service, server, coalition, users, read_cert, seed, events=110):
-    """Run one mirrored stream; return [(ticket, oracle_decision)]."""
+def _drive(
+    service, server, coalition, users, read_cert, seed, events=110,
+    pump_each=False,
+):
+    """Run one mirrored stream; return [(ticket, oracle_decision)].
+
+    ``pump_each`` decides every ticket (manual mode) before the next
+    event, so revocations land between evaluations, not only between
+    admissions.
+    """
     rng = random.Random(seed)
     validity = ValidityPeriod(0, WINDOW)
     write_certs = [
@@ -70,6 +78,8 @@ def _drive(service, server, coalition, users, read_cert, seed, events=110):
         history.append(request)
         oracle = server.handle_request(request, now=now, write_content=b"w")
         paired.append((service.submit(request, now=now), oracle.decision))
+        if pump_each:
+            service.pump()
     return paired
 
 
@@ -110,17 +120,17 @@ def test_manual_mode_parity_fuzz(service_coalition, num_shards, seed):
     _assert_parity(paired)
 
 
-def test_inline_mode_parity_fuzz(service_coalition):
-    """Inline mode pumps at submit time; decisions still match."""
+def test_manual_mode_pump_per_submit_parity_fuzz(service_coalition):
+    """Pumping after every submit; decisions still match."""
     ctx, make_service = service_coalition
     service = make_service(
-        mode="inline", num_shards=2, queue_depth=512,
+        mode="manual", num_shards=2, queue_depth=512,
         dedup=False, freshness_window=FRESHNESS,
     )
     server = _oracle_server(ctx)
     paired = _drive(
         service, server, ctx["coalition"], ctx["users"], ctx["read_cert"],
-        seed=4,
+        seed=4, pump_each=True,
     )
     _assert_parity(paired)
 

@@ -38,13 +38,15 @@ def _run_traffic(service, coalition, users, n, start_now=1):
             now=start_now + i, nonce=f"svcwal-{start_now + i}",
         )
         service.submit(request, now=start_now + i)
+    if service.mode == "manual":
+        service.pump()
 
 
 class TestServiceWal:
     def test_every_decision_lands_in_the_wal(self, tmp_path):
         wal_dir = str(tmp_path / "wal")
         service = AuthorizationService(
-            num_shards=2, mode="inline", wal_dir=wal_dir, wal_sync_every=4
+            num_shards=2, mode="manual", wal_dir=wal_dir, wal_sync_every=4
         )
         coalition, users = _coalition(service)
         service.register_object(
@@ -68,7 +70,7 @@ class TestServiceWal:
     def test_restart_resumes_the_same_chain(self, tmp_path):
         wal_dir = str(tmp_path / "wal")
         service = AuthorizationService(
-            num_shards=2, mode="inline", wal_dir=wal_dir
+            num_shards=2, mode="manual", wal_dir=wal_dir
         )
         coalition, users = _coalition(service)
         service.register_object(
@@ -80,7 +82,7 @@ class TestServiceWal:
         service.close()
 
         service2 = AuthorizationService(
-            num_shards=2, mode="inline", wal_dir=wal_dir
+            num_shards=2, mode="manual", wal_dir=wal_dir
         )
         assert service2.recovered is not None and service2.recovered.clean
         assert len(service2.audit_log) == 5
@@ -100,7 +102,7 @@ class TestServiceWal:
     def test_restart_heals_torn_tail(self, tmp_path):
         wal_dir = str(tmp_path / "wal")
         service = AuthorizationService(
-            num_shards=1, mode="inline", wal_dir=wal_dir
+            num_shards=1, mode="manual", wal_dir=wal_dir
         )
         coalition, users = _coalition(service)
         service.register_object(
@@ -113,7 +115,7 @@ class TestServiceWal:
             handle.truncate(os.path.getsize(seg) - 5)
 
         service2 = AuthorizationService(
-            num_shards=1, mode="inline", wal_dir=wal_dir
+            num_shards=1, mode="manual", wal_dir=wal_dir
         )
         assert service2.recovered.torn is not None
         assert len(service2.audit_log) == 5

@@ -62,7 +62,7 @@ PACKAGES = [
     "repro.service.chaos",
     "repro.service.epoch",
     "repro.service.health",
-    "repro.service.loadgen",
+    "repro.service.fixture",
     "repro.service.service",
     "repro.service.sharding",
     "repro.service.supervisor",
