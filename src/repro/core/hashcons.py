@@ -12,6 +12,13 @@ computed once, on first use, and memoized on the instance.  Child nodes
 memoize too, so hashing a deep tree is amortized O(1) after the first
 walk instead of O(tree) per lookup.
 
+:func:`memoized`, which :func:`cached_hash` is built on, does the same
+for any zero-argument method whose result is a pure function of the
+fields (a certificate's signed payload bytes, a key's fingerprint):
+computed on first call, then read back from the instance.  The memo
+never takes part in equality, hashing or ``repr``, which the dataclass
+generates from the fields alone.
+
 :func:`interned` builds a memoizing constructor for leaf-ish nodes
 (principals, groups, key references, point times) so hot paths that
 rebuild the same leaves per request share one instance — equality
@@ -20,36 +27,48 @@ checks then short-circuit on identity.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable, Type, TypeVar
 
-__all__ = ["cached_hash", "interned"]
+__all__ = ["cached_hash", "memoized", "interned"]
 
 T = TypeVar("T")
 
 _SENTINEL = object()
 
 
+def memoized(method: Callable[[T], object]) -> Callable[[T], object]:
+    """Method decorator: compute a frozen instance's derived value once.
+
+    The value is stored in the instance ``__dict__`` under
+    ``_memo_<name>``, written with ``object.__setattr__`` to bypass the
+    frozen guard.  Only for methods whose result depends on the
+    dataclass fields and nothing else; ``dataclasses.replace`` builds a
+    new instance, so a changed copy never sees the old value.
+    """
+    slot = f"_memo_{method.__name__}"
+
+    @wraps(method)
+    def wrapper(self):
+        value = self.__dict__.get(slot, _SENTINEL)
+        if value is _SENTINEL:
+            value = method(self)
+            object.__setattr__(self, slot, value)
+        return value
+
+    return wrapper
+
+
 def cached_hash(cls: Type[T]) -> Type[T]:
     """Class decorator: memoize the dataclass-generated structural hash.
 
     Apply *after* ``@dataclass(frozen=True)`` so the generated hash
-    (which agrees with ``__eq__``) is the one being cached.  The cache
-    slot lives in the instance ``__dict__`` and is written with
-    ``object.__setattr__`` to bypass the frozen guard.
+    (which agrees with ``__eq__``) is the one being cached.
     """
     base_hash = cls.__hash__
     if base_hash is None:  # pragma: no cover - misuse guard
         raise TypeError(f"{cls.__name__} is unhashable; nothing to cache")
-
-    def __hash__(self: object) -> int:
-        h = self.__dict__.get("_structural_hash", _SENTINEL)
-        if h is _SENTINEL:
-            h = base_hash(self)
-            object.__setattr__(self, "_structural_hash", h)
-        return h
-
-    cls.__hash__ = __hash__  # type: ignore[assignment]
+    cls.__hash__ = memoized(base_hash)  # type: ignore[assignment]
     return cls
 
 

@@ -9,7 +9,7 @@ Appendix E.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Tuple
 
 __all__ = ["ProofStep", "render_proof"]
@@ -23,6 +23,14 @@ class ProofStep:
     rule: str  # axiom or rule name: "premise", "A10", "A22", ...
     premises: Tuple["ProofStep", ...] = ()
     note: str = ""
+    # Node count of the tree, fixed by the premises and recorded at
+    # construction: every decision reports it (``derivation_steps``).
+    _size: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_size", 1 + sum(p._size for p in self.premises)
+        )
 
     def axioms_used(self) -> List[str]:
         """All axiom names appearing in the tree, outermost first."""
@@ -50,8 +58,8 @@ class ProofStep:
 
         Iterative on an explicit stack: ``yield from`` recursion costs
         O(depth) generator frames per yielded node, which dominated the
-        request hot path (``size()`` on every decision, ``axiom_counts``
-        on every traced decision) for the paper's ~10-deep proofs.
+        request hot path (``axiom_counts`` on every traced decision) for
+        the paper's ~10-deep proofs.
         """
         stack = [self]
         while stack:
@@ -65,7 +73,8 @@ class ProofStep:
         return 1 + max(p.depth() for p in self.premises)
 
     def size(self) -> int:
-        return sum(1 for _ in self.walk())
+        """Number of nodes :meth:`walk` yields (shared premises count each time)."""
+        return self._size
 
 
 def render_proof(step: ProofStep, indent: int = 0) -> str:

@@ -39,6 +39,7 @@ import secrets
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from ..core.hashcons import memoized
 from .bgw import bgw_multiply
 from .biprimality import biprimality_test
 from .hashing import full_domain_hash
@@ -80,6 +81,7 @@ class SharedRSAPublicKey:
         expected = full_domain_hash(message, self.modulus)
         return pow(signature, self.exponent, self.modulus) == expected
 
+    @memoized
     def fingerprint(self) -> str:
         """Key ID: hash of (N, e), per Section 3.2 of the paper."""
         import hashlib

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Tuple
 
+from ..core.hashcons import memoized
 from .hashing import full_domain_hash
 from .numtheory import is_probable_prime, modinv, random_prime
 
@@ -52,6 +53,7 @@ class RSAPublicKey:
             raise ValueError("plaintext out of range for modulus")
         return pow(plaintext, self.exponent, self.modulus)
 
+    @memoized
     def fingerprint(self) -> str:
         """Short stable identifier: hash of (N, e), used as a key ID.
 

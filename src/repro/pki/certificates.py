@@ -5,6 +5,11 @@ payload plus an RSA-FDH signature — *and* carries an idealization into
 the logic (Section 4.2's "idealized time-stamped certificates"), so the
 coalition server can first verify bytes and then reason about trust.
 
+Certificates are frozen, so the bytes a signature covers, the subject
+key and its key id are computed once per object and memoized on it
+(:func:`repro.core.hashcons.memoized`); the signature itself is still
+checked on every use.
+
 The correspondence, using the paper's notation:
 
 * identity:   ``CA says_tCA  (K_P =>_[tb,te] P)         signed K_CA^-1``
@@ -20,6 +25,7 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 from ..core.formulas import KeySpeaksFor, Not, Says, SpeaksForGroup
+from ..core.hashcons import memoized
 from ..core.messages import Signed
 from ..core.temporal import FOREVER, Temporal
 from ..core.terms import (
@@ -83,6 +89,7 @@ class IdentityCertificate:
     signature: int = 0
 
     @property
+    @memoized
     def subject_key(self):
         from ..crypto.rsa import RSAPublicKey
 
@@ -91,9 +98,11 @@ class IdentityCertificate:
         )
 
     @property
+    @memoized
     def subject_key_id(self) -> str:
         return self.subject_key.fingerprint()
 
+    @memoized
     def payload_bytes(self) -> bytes:
         return canonical_bytes(
             {
@@ -135,6 +144,7 @@ class AttributeCertificate:
     validity: ValidityPeriod
     signature: int = 0
 
+    @memoized
     def payload_bytes(self) -> bytes:
         return canonical_bytes(
             {
@@ -186,6 +196,7 @@ class ThresholdAttributeCertificate:
         if not 1 <= self.threshold <= len(self.subjects):
             raise ValueError("threshold out of range for subject count")
 
+    @memoized
     def payload_bytes(self) -> bytes:
         return canonical_bytes(
             {
@@ -240,6 +251,7 @@ class RevocationCertificate:
     effective_time: int
     signature: int = 0
 
+    @memoized
     def payload_bytes(self) -> bytes:
         return canonical_bytes(
             {

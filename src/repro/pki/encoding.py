@@ -11,7 +11,7 @@ encoding is a transport envelope around it.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Union
+from typing import Any, Dict, Tuple, Union
 
 from .certificates import (
     AttributeCertificate,
@@ -39,8 +39,44 @@ def _validity_to_json(validity: ValidityPeriod) -> Dict[str, int]:
     return {"begin": validity.begin, "end": validity.end}
 
 
-def _validity_from_json(doc: Dict[str, int]) -> ValidityPeriod:
-    return ValidityPeriod(begin=doc["begin"], end=doc["end"])
+def _field(doc: Dict[str, Any], key: str, kind: type) -> Any:
+    """``doc[key]``, which must be exactly a ``kind`` (so no bool for int).
+
+    Decoded certificates are compared and interned by value, and
+    ``False == 0``; an inexact type would make a forged document equal
+    to a genuine certificate, or reach the signer's canonicalizer as a
+    float.
+    """
+    value = doc[key]
+    if type(value) is not kind:
+        raise EncodingError(
+            f"certificate field {key!r} is {type(value).__name__}, "
+            f"expected {kind.__name__}"
+        )
+    return value
+
+
+def _hex_field(doc: Dict[str, Any], key: str) -> int:
+    return int(_field(doc, key, str), 16)
+
+
+def _validity_from_json(doc: Any) -> ValidityPeriod:
+    if type(doc) is not dict:
+        raise EncodingError("certificate field 'validity' must be an object")
+    return ValidityPeriod(
+        begin=_field(doc, "begin", int), end=_field(doc, "end", int)
+    )
+
+
+def _subjects_from_json(doc: Any) -> Tuple[Tuple[str, str], ...]:
+    if type(doc) is not list or not all(
+        type(s) is list and len(s) == 2 and all(type(x) is str for x in s)
+        for s in doc
+    ):
+        raise EncodingError(
+            "certificate field 'subjects' must be a list of [name, key id]"
+        )
+    return tuple((name, key_id) for name, key_id in doc)
 
 
 def _to_dict(cert: Certificate) -> Dict[str, Any]:
@@ -103,50 +139,50 @@ def _from_dict(doc: Dict[str, Any]) -> Certificate:
         kind = doc["kind"]
         if kind == "identity":
             return IdentityCertificate(
-                serial=doc["serial"],
-                subject=doc["subject"],
-                subject_key_modulus=int(doc["subject_key_modulus"], 16),
-                subject_key_exponent=doc["subject_key_exponent"],
-                issuer=doc["issuer"],
-                issuer_key_id=doc["issuer_key_id"],
-                timestamp=doc["timestamp"],
+                serial=_field(doc, "serial", str),
+                subject=_field(doc, "subject", str),
+                subject_key_modulus=_hex_field(doc, "subject_key_modulus"),
+                subject_key_exponent=_field(doc, "subject_key_exponent", int),
+                issuer=_field(doc, "issuer", str),
+                issuer_key_id=_field(doc, "issuer_key_id", str),
+                timestamp=_field(doc, "timestamp", int),
                 validity=_validity_from_json(doc["validity"]),
-                signature=int(doc["signature"], 16),
+                signature=_hex_field(doc, "signature"),
             )
         if kind == "attribute":
             return AttributeCertificate(
-                serial=doc["serial"],
-                subject=doc["subject"],
-                subject_key_id=doc["subject_key_id"],
-                group=doc["group"],
-                issuer=doc["issuer"],
-                issuer_key_id=doc["issuer_key_id"],
-                timestamp=doc["timestamp"],
+                serial=_field(doc, "serial", str),
+                subject=_field(doc, "subject", str),
+                subject_key_id=_field(doc, "subject_key_id", str),
+                group=_field(doc, "group", str),
+                issuer=_field(doc, "issuer", str),
+                issuer_key_id=_field(doc, "issuer_key_id", str),
+                timestamp=_field(doc, "timestamp", int),
                 validity=_validity_from_json(doc["validity"]),
-                signature=int(doc["signature"], 16),
+                signature=_hex_field(doc, "signature"),
             )
         if kind == "threshold-attribute":
             return ThresholdAttributeCertificate(
-                serial=doc["serial"],
-                subjects=tuple(tuple(s) for s in doc["subjects"]),
-                threshold=doc["threshold"],
-                group=doc["group"],
-                issuer=doc["issuer"],
-                issuer_key_id=doc["issuer_key_id"],
-                timestamp=doc["timestamp"],
+                serial=_field(doc, "serial", str),
+                subjects=_subjects_from_json(doc["subjects"]),
+                threshold=_field(doc, "threshold", int),
+                group=_field(doc, "group", str),
+                issuer=_field(doc, "issuer", str),
+                issuer_key_id=_field(doc, "issuer_key_id", str),
+                timestamp=_field(doc, "timestamp", int),
                 validity=_validity_from_json(doc["validity"]),
-                signature=int(doc["signature"], 16),
+                signature=_hex_field(doc, "signature"),
             )
         if kind == "revocation":
             return RevocationCertificate(
-                serial=doc["serial"],
-                revoked_serial=doc["revoked_serial"],
-                revoked=_from_dict(doc["revoked"]),
-                issuer=doc["issuer"],
-                issuer_key_id=doc["issuer_key_id"],
-                timestamp=doc["timestamp"],
-                effective_time=doc["effective_time"],
-                signature=int(doc["signature"], 16),
+                serial=_field(doc, "serial", str),
+                revoked_serial=_field(doc, "revoked_serial", str),
+                revoked=certificate_from_dict(doc["revoked"]),
+                issuer=_field(doc, "issuer", str),
+                issuer_key_id=_field(doc, "issuer_key_id", str),
+                timestamp=_field(doc, "timestamp", int),
+                effective_time=_field(doc, "effective_time", int),
+                signature=_hex_field(doc, "signature"),
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise EncodingError(f"malformed certificate document: {exc}") from exc

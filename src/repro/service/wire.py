@@ -37,6 +37,7 @@ import asyncio
 import json
 import socket
 import struct
+import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
@@ -45,6 +46,7 @@ from ..coalition.protocol import AuthorizationDecision
 from ..coalition.requests import JointAccessRequest, SignedRequestPart
 from ..crypto.rsa import RSAKeyPair, RSAPrivateKey, RSAPublicKey
 from ..pki.certificates import (
+    Certificate,
     IdentityCertificate,
     ThresholdAttributeCertificate,
 )
@@ -244,6 +246,29 @@ def request_to_dict(request: JointAccessRequest) -> Dict[str, Any]:
     }
 
 
+# Decoded certificates, keyed by content.  A client sends the same few
+# certificates with every request; decoding each of them to one shared
+# object lets what a certificate memoizes (its signed payload bytes,
+# subject key and key id) carry across requests.  Dataclass equality
+# covers every field, the signature included, and the decoder admits
+# exactly typed fields only, so the shared object is equal to a fresh
+# decode in every field; signatures are still checked per request.
+# Oldest entries go first once the table is full.
+INTERN_CAPACITY = 1024
+_interned: Dict[Certificate, Certificate] = {}
+_intern_lock = threading.Lock()
+
+
+def _intern(cert: Certificate) -> Certificate:
+    with _intern_lock:
+        shared = _interned.get(cert)
+        if shared is None:
+            if len(_interned) >= INTERN_CAPACITY:
+                del _interned[next(iter(_interned))]
+            _interned[cert] = shared = cert
+    return shared
+
+
 def _require(doc: Dict[str, Any], key: str, types) -> Any:
     value = doc.get(key)
     if not isinstance(value, types) or isinstance(value, bool):
@@ -261,7 +286,8 @@ def request_from_dict(doc: Any) -> JointAccessRequest:
     Every malformation — missing keys, wrong types, undecodable
     certificates, wrong certificate kinds — raises
     ``ProtocolError("bad-request", …)``; the edge answers those with a
-    400-style frame and keeps the connection.
+    400-style frame and keeps the connection.  Certificates equal to
+    one decoded before come back as that same object (``_intern``).
     """
     if not isinstance(doc, dict):
         raise ProtocolError(
@@ -305,7 +331,7 @@ def request_from_dict(doc: Any) -> JointAccessRequest:
                     f"identity_certificates holds a "
                     f"{type(cert).__name__}",
                 )
-            identity_certificates.append(cert)
+            identity_certificates.append(_intern(cert))
         attribute = certificate_from_dict(doc.get("attribute_certificate"))
         if not isinstance(attribute, ThresholdAttributeCertificate):
             raise ProtocolError(
@@ -320,7 +346,7 @@ def request_from_dict(doc: Any) -> JointAccessRequest:
             object_name=_require(doc, "object", str),
             requestor=_require(doc, "requestor", str),
             identity_certificates=identity_certificates,
-            attribute_certificate=attribute,
+            attribute_certificate=_intern(attribute),
             parts=parts,
             degraded=degraded,
         )

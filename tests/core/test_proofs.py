@@ -1,5 +1,11 @@
 """Tests for proof trees."""
 
+import dataclasses
+import pickle
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.formulas import Says
 from repro.core.messages import Data
 from repro.core.proofs import ProofStep, render_proof
@@ -47,3 +53,57 @@ class TestRender:
         assert lines[0].startswith("[")
         assert lines[1].startswith("  [")
         assert lines[2].startswith("    [")
+
+
+def _walk_count(step):
+    return sum(1 for _ in step.walk())
+
+
+# Trees of up to ~40 nodes; ``st.recursive`` may hand the same child
+# object out twice, so shared premises (a DAG) are generated as well.
+_rules = st.sampled_from(["premise", "A10", "A22", "A38"])
+_leaves = st.builds(lambda rule: ProofStep(Data("leaf"), rule), _rules)
+_trees = st.recursive(
+    _leaves,
+    lambda children: st.builds(
+        lambda rule, premises: ProofStep(Data("node"), rule, tuple(premises)),
+        _rules,
+        st.lists(children, max_size=3),
+    ),
+    max_leaves=40,
+)
+
+
+class TestRecordedSize:
+    """``size()`` is recorded at construction and always matches ``walk()``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_trees)
+    def test_size_matches_walk(self, tree):
+        assert tree.size() == _walk_count(tree)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_trees, _trees)
+    def test_size_after_replace(self, tree, other):
+        for changed in (
+            dataclasses.replace(tree, premises=(other, tree)),
+            dataclasses.replace(tree, premises=()),
+            dataclasses.replace(tree, rule="A10", note="renamed"),
+        ):
+            assert changed.size() == _walk_count(changed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_trees)
+    def test_size_after_pickle(self, tree):
+        clone = pickle.loads(pickle.dumps(tree))
+        assert clone == tree
+        assert clone.size() == _walk_count(clone) == tree.size()
+
+    def test_shared_premise_counts_each_time(self):
+        leaf = ProofStep(Data("p"), "premise")
+        root = ProofStep(Data("r"), "A38", (leaf, leaf))
+        assert root.size() == _walk_count(root) == 3
+
+    def test_size_stays_out_of_eq_and_repr(self):
+        assert "_size" not in repr(_tree())
+        assert _tree() == _tree() and hash(_tree()) == hash(_tree())

@@ -45,6 +45,16 @@ class TestDealerPath:
         with pytest.raises(JointSignatureError):
             combine_partials(b"m", [partial], shared_key_3.public_key)
 
+    def test_fingerprint_memo_is_invisible(self, shared_key_3):
+        import dataclasses
+
+        key = shared_key_3.public_key
+        fresh = dataclasses.replace(key)
+        assert key.fingerprint() is key.fingerprint()
+        assert key.fingerprint() == fresh.fingerprint()
+        assert key == fresh and hash(key) == hash(fresh)
+        assert repr(key) == repr(fresh)
+
 
 class TestDealerlessPath:
     @pytest.fixture(scope="class")

@@ -1,11 +1,14 @@
 """Tests for certificate types and their logic idealizations."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.formulas import KeySpeaksFor, Not, Says, SpeaksForGroup
 from repro.core.messages import Signed
 from repro.core.temporal import FOREVER
 from repro.core.terms import Group, Principal, ThresholdPrincipal
+from repro.pki import certificates
 from repro.pki.certificates import (
     AttributeCertificate,
     IdentityCertificate,
@@ -170,3 +173,63 @@ class TestRevocationCertificate:
         negated = revocation.idealize().body.body
         assert isinstance(negated.body, KeySpeaksFor)
         assert negated.body.time.lo == 61
+
+
+def _revocation():
+    return RevocationCertificate(
+        serial="r3",
+        revoked_serial="s3",
+        revoked=_threshold(),
+        issuer="RA",
+        issuer_key_id="rakey",
+        timestamp=50,
+        effective_time=50,
+    )
+
+
+ALL_KINDS = [_identity, _attribute, _threshold, _revocation]
+
+
+class TestMemoizedDerivedValues:
+    """Derived bytes and keys are computed once and never leak into fields."""
+
+    @pytest.mark.parametrize("make", ALL_KINDS)
+    def test_second_payload_call_does_not_encode_again(self, make, monkeypatch):
+        calls = []
+        encode = certificates.canonical_bytes
+        monkeypatch.setattr(
+            certificates,
+            "canonical_bytes",
+            lambda payload: calls.append(1) or encode(payload),
+        )
+        cert = make()
+        first = cert.payload_bytes()
+        assert cert.payload_bytes() is first
+        assert len(calls) == 1
+
+    def test_subject_key_and_id_computed_once(self):
+        cert = _identity()
+        assert cert.subject_key is cert.subject_key
+        assert cert.subject_key_id is cert.subject_key_id
+        assert cert.subject_key_id == cert.subject_key.fingerprint()
+
+    @pytest.mark.parametrize("make", ALL_KINDS)
+    def test_memo_stays_out_of_eq_hash_repr_and_document(self, make):
+        from repro.pki.encoding import certificate_to_dict
+
+        warm, cold = make(), make()
+        warm.payload_bytes()
+        if isinstance(warm, IdentityCertificate):
+            warm.subject_key_id
+        assert warm.__dict__.keys() != cold.__dict__.keys()
+        assert warm == cold and hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold) and "_memo" not in repr(warm)
+        assert certificate_to_dict(warm) == certificate_to_dict(cold)
+        assert not any("_memo" in key for key in certificate_to_dict(warm))
+
+    def test_replace_does_not_carry_the_memo(self):
+        warm = _identity()
+        warm.payload_bytes()
+        other = dataclasses.replace(warm, subject="Mallory")
+        assert other.payload_bytes() != warm.payload_bytes()
+        assert b"Mallory" in other.payload_bytes()

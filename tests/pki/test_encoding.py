@@ -4,6 +4,8 @@ import pytest
 
 from repro.pki.encoding import (
     EncodingError,
+    certificate_from_dict,
+    certificate_to_dict,
     decode_certificate,
     encode_certificate,
 )
@@ -71,3 +73,84 @@ class TestErrors:
         forged = decode_certificate(json.dumps(doc))
         ca_key = domains[0].ca.public_key
         assert not ca_key.verify(forged.payload_bytes(), forged.signature)
+
+
+class TestFieldTypes:
+    """Fields must decode to exactly their type: no floats, no bools for ints.
+
+    ``False == 0`` and ``1.0 == 1``, so a loosely typed decode could be
+    equal to a genuine certificate without its signed bytes (which
+    spell ``false``), or reach the canonicalizer as a float.
+    """
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("timestamp", 0.0),
+            ("timestamp", False),
+            ("threshold", 1.0),
+            ("threshold", True),
+            ("serial", 7),
+            ("group", None),
+            ("signature", 12345),
+            ("subjects", "U1"),
+            ("subjects", [["User_D1"]]),
+            ("subjects", [["User_D1", 3]]),
+            ("subjects", [("User_D1", "k", "extra")]),
+            ("validity", [0, 10]),
+            ("validity", {"begin": 0.0, "end": 10}),
+            ("validity", {"begin": 0, "end": True}),
+        ],
+    )
+    def test_threshold_certificate_fields(self, write_certificate, field, value):
+        doc = certificate_to_dict(write_certificate)
+        doc[field] = value
+        with pytest.raises(EncodingError):
+            certificate_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("subject_key_exponent", True),
+            ("subject_key_exponent", 65537.0),
+            ("subject_key_modulus", 3233),
+            ("timestamp", 0.0),
+            ("subject", ["User_D1"]),
+        ],
+    )
+    def test_identity_certificate_fields(self, three_domains, field, value):
+        _domains, users = three_domains
+        doc = certificate_to_dict(users[0].identity_certificate)
+        doc[field] = value
+        with pytest.raises(EncodingError):
+            certificate_from_dict(doc)
+
+    def test_nested_revoked_certificate_is_checked(
+        self, formed_coalition, write_certificate
+    ):
+        coalition = formed_coalition[0]
+        revocation = coalition.authority.revoke_certificate(
+            write_certificate, now=5
+        )
+        doc = certificate_to_dict(revocation)
+        doc["revoked"]["threshold"] = 2.0
+        with pytest.raises(EncodingError):
+            certificate_from_dict(doc)
+        doc["revoked"] = ["not", "a", "certificate"]
+        with pytest.raises(EncodingError):
+            certificate_from_dict(doc)
+
+    def test_revocation_times_must_be_ints(
+        self, formed_coalition, write_certificate
+    ):
+        coalition = formed_coalition[0]
+        doc = certificate_to_dict(
+            coalition.authority.revoke_certificate(write_certificate, now=5)
+        )
+        doc["effective_time"] = 5.0
+        with pytest.raises(EncodingError):
+            certificate_from_dict(doc)
+
+    def test_exact_types_still_decode(self, write_certificate):
+        doc = certificate_to_dict(write_certificate)
+        assert certificate_from_dict(doc) == write_certificate

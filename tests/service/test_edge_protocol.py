@@ -13,12 +13,17 @@ Two layers of coverage:
   connections afterwards — a garbage frame must never crash a handler.
 """
 
+import copy
 import json
 import struct
+import sys
+import threading
+import time
 
 import pytest
 
 from repro.coalition import build_joint_request
+from repro.service import wire
 from repro.service.edge import serve_in_thread
 from repro.service.wire import (
     DEFAULT_MAX_FRAME,
@@ -156,6 +161,132 @@ class TestRequestCodec:
         assert exc.value.code == "bad-request"
 
 
+class TestCertificateFieldTypes:
+    """A wrongly typed certificate field is a bad request, not an evaluation.
+
+    The read certificate is stamped at time 0 with threshold 1, so a
+    ``False`` timestamp or a ``True`` threshold compares equal to it:
+    decoded loosely, the forgery would share the genuine certificate's
+    interned object and its memoized bytes.
+    """
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("timestamp", 0.0),
+            ("threshold", 1.0),
+            ("timestamp", False),
+            ("threshold", True),
+        ],
+    )
+    def test_attribute_certificate_field(self, service_coalition, field, value):
+        ctx, _ = service_coalition
+        doc = request_to_dict(
+            _read(ctx["users"], ctx["read_cert"], "ObjectO", 2, "types-1")
+        )
+        request_from_dict(copy.deepcopy(doc))  # the genuine one, interned
+        doc["attribute_certificate"][field] = value
+        with pytest.raises(ProtocolError) as exc:
+            request_from_dict(doc)
+        assert exc.value.code == "bad-request"
+
+    def test_identity_certificate_field(self, service_coalition):
+        ctx, _ = service_coalition
+        doc = request_to_dict(
+            _read(ctx["users"], ctx["read_cert"], "ObjectO", 2, "types-2")
+        )
+        doc["identity_certificates"][0]["timestamp"] = False
+        with pytest.raises(ProtocolError) as exc:
+            request_from_dict(doc)
+        assert exc.value.code == "bad-request"
+
+
+class TestCertificateInterning:
+    def test_two_decodes_share_certificate_objects(self, service_coalition):
+        ctx, _ = service_coalition
+        request = build_joint_request(
+            ctx["users"][0], [ctx["users"][1]], "write", "ObjectO",
+            ctx["write_cert"], now=5, nonce="intern-1",
+        )
+        doc = json.loads(json.dumps(request_to_dict(request)))
+        first = request_from_dict(copy.deepcopy(doc))
+        second = request_from_dict(doc)
+        assert first.attribute_certificate is second.attribute_certificate
+        for a, b in zip(
+            first.identity_certificates, second.identity_certificates
+        ):
+            assert a is b
+        # The parts are per request, never shared.
+        assert first.parts[0] is not second.parts[0]
+
+    def test_different_signature_is_a_different_object(self, service_coalition):
+        ctx, _ = service_coalition
+        doc = request_to_dict(
+            _read(ctx["users"], ctx["read_cert"], "ObjectO", 2, "intern-2")
+        )
+        genuine = request_from_dict(copy.deepcopy(doc)).attribute_certificate
+        doc["attribute_certificate"]["signature"] = hex(genuine.signature ^ 1)
+        forged = request_from_dict(doc).attribute_certificate
+        assert forged is not genuine and forged != genuine
+        assert forged.payload_bytes() == genuine.payload_bytes()
+
+    def test_table_is_bounded(self, service_coalition):
+        ctx, _ = service_coalition
+        doc = request_to_dict(
+            _read(ctx["users"], ctx["read_cert"], "ObjectO", 2, "intern-3")
+        )
+        for i in range(wire.INTERN_CAPACITY + 10):
+            doc["attribute_certificate"]["signature"] = hex(i + 1)
+            request_from_dict(doc)
+            assert len(wire._interned) <= wire.INTERN_CAPACITY
+
+
+    def test_concurrent_interning_shares_one_object(self):
+        """Threads interning equal new values at once all get one object.
+
+        Hashing the stand-in certificate sleeps, so every thread is
+        inside the table lookup at once: without the table's lock each
+        would miss and insert its own copy.
+        """
+
+        class SlowKey:
+            def __init__(self, value):
+                self.value = value
+
+            def __eq__(self, other):
+                return isinstance(other, SlowKey) and other.value == self.value
+
+            def __hash__(self):
+                time.sleep(0.0002)
+                return hash(self.value)
+
+        threads, count = 8, 20
+        seen = [[None] * count for _ in range(threads)]
+        start = threading.Barrier(threads)
+
+        def intern_all(t):
+            start.wait(timeout=10)
+            for i in range(count):
+                seen[t][i] = wire._intern(SlowKey(("race", i)))
+
+        workers = [
+            threading.Thread(target=intern_all, args=(t,))
+            for t in range(threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        for i in range(count):
+            assert all(seen[t][i] is seen[0][i] for t in range(threads))
+
+
 @pytest.fixture()
 def live_edge(service_coalition):
     """A threaded service behind a real listening edge."""
@@ -233,6 +364,21 @@ class TestLiveServer:
             ok = client.authorize(request, now=7, req_id=5)
             assert ok["kind"] == "decision" and ok["id"] == 5
             assert ok["decision"]["granted"] is True
+
+    def test_float_certificate_field_is_bad_request(self, live_edge):
+        """Not an ``errored`` decision: the document never reaches a shard."""
+        ctx, service, handle = live_edge
+        request = _read(ctx["users"], ctx["read_cert"], "ObjectO", 7, "lv-f")
+        doc = request_to_dict(request)
+        doc["attribute_certificate"]["threshold"] = 1.0
+        with EdgeClient("127.0.0.1", handle.port) as client:
+            client.send_frame(
+                {"kind": "authorize", "id": 2, "now": 7, "request": doc}
+            )
+            response = client.recv_frame()
+            assert response["kind"] == "protocol-error"
+            assert response["code"] == "bad-request"
+        assert service.stats()["service"]["errored"] == 0
 
     def test_missing_now_is_bad_request(self, live_edge):
         ctx, service, handle = live_edge
