@@ -6,6 +6,7 @@ against (mean/stddev/rounds per benchmark, grouped by file).
 """
 
 import json
+import os
 import pathlib
 
 import pytest
@@ -30,8 +31,9 @@ def service_report(request):
 
     Reports accumulate on the session config and are written to
     ``BENCH_service.json`` at session end — independent of the
-    pytest-benchmark plugin, so they survive ``--benchmark-disable``
-    smoke runs too.
+    pytest-benchmark plugin, so full-size rows survive
+    ``--benchmark-disable`` runs too.  ``SERVICE_BENCH_SMOKE=1`` runs
+    write nothing: their rows have smoke sizes.
     """
     reports = request.config.__dict__.setdefault(
         "_service_bench_reports", {}
@@ -45,7 +47,7 @@ def service_report(request):
 
 def _write_service_summary(config):
     reports = getattr(config, "_service_bench_reports", {})
-    if not reports:
+    if not reports or os.environ.get("SERVICE_BENCH_SMOKE") == "1":
         return
     runs = [reports[name] for name in sorted(reports)]
     _SERVICE_SUMMARY_PATH.write_text(

@@ -8,12 +8,14 @@ can verify (a) no entry was altered, (b) no entry was removed from the
 middle, and (c) every entry was recorded by the server's key.
 
 Each entry binds: sequence number, decision metadata, the proof-tree
-digest (so the logged decision can be matched against a retained proof),
-and the previous entry's digest — a classic hash chain.
+digest (the Merkle root of :meth:`~repro.core.proofs.ProofStep.digest`,
+so the logged decision can be matched against a retained proof), and
+the previous entry's digest — a classic hash chain.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import threading
 from dataclasses import dataclass
@@ -35,10 +37,7 @@ class AuditVerificationError(Exception):
 def _proof_digest(decision: AuthorizationDecision) -> str:
     if decision.proof is None:
         return _GENESIS
-    material = "\n".join(
-        f"{step.rule}:{step.conclusion}" for step in decision.proof.walk()
-    )
-    return hashlib.sha256(material.encode()).hexdigest()
+    return decision.proof.digest().hex()
 
 
 @dataclass(frozen=True)
@@ -93,6 +92,8 @@ class AuditLog:
     def __init__(self, signer: Optional[RSAKeyPair] = None, key_bits: int = 256):
         self._signer = signer or generate_keypair(bits=key_bits)
         self._entries: List[AuditEntry] = []
+        # Digest of the last entry: the next entry's previous_digest.
+        self._tail_digest = _GENESIS
         # Appends read the previous digest and extend the chain; the
         # lock makes that read-extend atomic so shard workers of the
         # sharded service can share one log.
@@ -134,6 +135,8 @@ class AuditLog:
             cls.verify_chain(entries, signer.public)
         log = cls(signer=signer)
         log._entries = list(entries)
+        if entries:
+            log._tail_digest = entries[-1].digest()
         return log
 
     def __len__(self) -> int:
@@ -154,7 +157,6 @@ class AuditLog:
         with the rest of the payload.
         """
         with self._lock:
-            previous = self._entries[-1].digest() if self._entries else _GENESIS
             entry = AuditEntry(
                 sequence=len(self._entries),
                 timestamp=decision.checked_at,
@@ -164,7 +166,7 @@ class AuditLog:
                 granted=decision.granted,
                 reason=decision.reason,
                 proof_digest=_proof_digest(decision),
-                previous_digest=previous,
+                previous_digest=self._tail_digest,
                 trace_id=trace_id,
             )
             return self._append_signed(entry)
@@ -190,7 +192,6 @@ class AuditLog:
         ``flow-replay-suppressed``.
         """
         with self._lock:
-            previous = self._entries[-1].digest() if self._entries else _GENESIS
             entry = AuditEntry(
                 sequence=len(self._entries),
                 timestamp=timestamp,
@@ -200,7 +201,7 @@ class AuditLog:
                 granted=granted,
                 reason=f"{kind}: {detail}" if detail else kind,
                 proof_digest=_GENESIS,
-                previous_digest=previous,
+                previous_digest=self._tail_digest,
                 trace_id=trace_id,
                 event_kind=kind,
             )
@@ -215,13 +216,15 @@ class AuditLog:
         return out
 
     def _append_signed(self, entry: AuditEntry) -> AuditEntry:
-        import dataclasses
-
+        # The signature is not part of the payload: encode it once, for
+        # the signature and the chain's next link alike.
+        payload = entry.payload_bytes()
         signed = dataclasses.replace(
-            entry, signature=self._signer.private.sign(entry.payload_bytes())
+            entry, signature=self._signer.private.sign(payload)
         )
         with self._lock:
             self._entries.append(signed)
+            self._tail_digest = hashlib.sha256(payload).hexdigest()
             if self._wal is not None:
                 self._wal.append_entry(signed)
         return signed

@@ -51,7 +51,7 @@ from ..core.patterns import AnyTime, match
 from ..core.proofs import ProofStep
 from ..core.store import RequestBeliefs
 from ..core.temporal import FOREVER, Temporal
-from ..core.terms import CompoundPrincipal, KeyRef, Principal, Var
+from ..core.terms import CompoundPrincipal, KeyRef, Principal, Var, is_ground
 from ..crypto.boneh_franklin import SharedRSAPublicKey
 from ..crypto.rsa import RSAPublicKey
 from ..pki.certificates import Certificate, RevocationCertificate
@@ -234,6 +234,10 @@ class AuthorizationProtocol:
         # certificate, reused across requests until a revocation evicts
         # it.  Keyed by the (frozen, hashable) certificate object.
         self._cert_cache: Dict[Certificate, ProofStep] = {}
+        # (subject, group) -> the cached certificates whose admission
+        # concludes that membership: what a revocation of it evicts.
+        # Values are tuples, so a fork copies the map, not its entries.
+        self._cached_memberships: Dict[Tuple[object, object], Tuple[Certificate, ...]] = {}
         self.metrics = MetricsRegistry("protocol")
         self._bind_metrics()
 
@@ -267,6 +271,7 @@ class AuthorizationProtocol:
         clone._trusted_ra_keys = dict(self._trusted_ra_keys)
         clone.nonces = self.nonces
         clone._cert_cache = dict(self._cert_cache)
+        clone._cached_memberships = dict(self._cached_memberships)
         clone.metrics = self.metrics.fork()
         clone._bind_metrics()
         return clone
@@ -399,6 +404,10 @@ class AuthorizationProtocol:
         proof = self.engine.admit_certificate(cert.idealize(), now)
         self._cache_misses.inc()
         self._cert_cache[cert] = proof
+        conclusion = proof.conclusion
+        if conclusion.__class__ is SpeaksForGroup:
+            key = (conclusion.subject, conclusion.group)
+            self._cached_memberships[key] = self._cached_memberships.get(key, ()) + (cert,)
         return proof
 
     def _evict_revoked(self, negation: Formula) -> int:
@@ -407,11 +416,20 @@ class AuthorizationProtocol:
         ``negation`` is the believed ``not(...)`` revocation payload;
         any cached conclusion with the same subject/key and group is
         evicted regardless of its validity interval, forcing the next
-        request through the full believe-until-revoked derivation.
+        request through the full believe-until-revoked derivation.  A
+        membership revocation finds its victims by (subject, group);
+        other shapes ``match`` every cached admission.
         """
         if not isinstance(negation, Not):
             return 0
         body = negation.body
+        if (
+            body.__class__ is SpeaksForGroup
+            and is_ground(body.subject)
+            and is_ground(body.group)
+        ):
+            victims = self._cached_memberships.pop((body.subject, body.group), ())
+            return sum(self._cert_cache.pop(cert, None) is not None for cert in victims)
         schema = body
         if dataclasses.is_dataclass(body) and hasattr(body, "time"):
             schema = dataclasses.replace(body, time=AnyTime())
@@ -510,7 +528,8 @@ class AuthorizationProtocol:
     ) -> AuthorizationDecision:
         """Run Steps 0-4 on a joint access request against ``acl``."""
         self._decisions_made.inc()
-        probes_before = self.engine.store.stats()["index_probes"]
+        store = self.engine.store
+        probes_before = store.index_probes
         hits_before = self._cache_hits.value
         misses_before = self._cache_misses.value
 
@@ -523,8 +542,7 @@ class AuthorizationProtocol:
                 checked_at=now,
                 cache_hits=self._cache_hits.value - hits_before,
                 cache_misses=self._cache_misses.value - misses_before,
-                index_probes=self.engine.store.stats()["index_probes"]
-                - probes_before,
+                index_probes=store.index_probes - probes_before,
             )
 
         # ---- Step 0: cryptographic checks --------------------------------
@@ -633,8 +651,7 @@ class AuthorizationProtocol:
             derivation_steps=group_says_proof.size(),
             cache_hits=self._cache_hits.value - hits_before,
             cache_misses=self._cache_misses.value - misses_before,
-            index_probes=self.engine.store.stats()["index_probes"]
-            - probes_before,
+            index_probes=store.index_probes - probes_before,
             nonce=nonce,
             receipts=receipts,
         )

@@ -10,7 +10,10 @@ formulas get deep (a threshold attribute certificate's idealization is
 :func:`cached_hash` wraps a frozen dataclass so the structural hash is
 computed once, on first use, and memoized on the instance.  Child nodes
 memoize too, so hashing a deep tree is amortized O(1) after the first
-walk instead of O(tree) per lookup.
+walk instead of O(tree) per lookup.  The memo stays out of pickles: a
+string's hash depends on the process's ``PYTHONHASHSEED``, so a hash
+carried into another process would disagree with the structural hash
+of an equal node built there.
 
 :func:`memoized`, which :func:`cached_hash` is built on, does the same
 for any zero-argument method whose result is a pure function of the
@@ -69,7 +72,20 @@ def cached_hash(cls: Type[T]) -> Type[T]:
     if base_hash is None:  # pragma: no cover - misuse guard
         raise TypeError(f"{cls.__name__} is unhashable; nothing to cache")
     cls.__hash__ = memoized(base_hash)  # type: ignore[assignment]
+    cls.__getstate__ = _state_without_hash  # type: ignore[assignment]
     return cls
+
+
+_HASH_SLOT = "_memo___hash__"
+
+
+def _state_without_hash(self) -> dict:
+    """Pickled state of a :func:`cached_hash` node: its dict, minus the hash."""
+    state = self.__dict__
+    if _HASH_SLOT in state:
+        state = dict(state)
+        del state[_HASH_SLOT]
+    return state
 
 
 def interned(constructor: Callable[..., T], maxsize: int = 65536) -> Callable[..., T]:

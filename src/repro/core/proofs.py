@@ -5,12 +5,21 @@ paper name, e.g. "A10", "A22", "A38"), and the premise steps.  The
 authorization protocol returns the full tree with each access decision,
 so a decision can be audited exactly against the derivation printed in
 Appendix E.
+
+:meth:`ProofStep.digest` is a Merkle digest over the proof DAG: a step
+hashes its rule, its rendered conclusion and its premises' digests.
+Steps are immutable and shared (a cached certificate admission is a
+premise of every request it serves), so each digest is computed once
+per step object and read back after.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Tuple
+
+from .hashcons import memoized
 
 __all__ = ["ProofStep", "render_proof"]
 
@@ -75,6 +84,21 @@ class ProofStep:
     def size(self) -> int:
         """Number of nodes :meth:`walk` yields (shared premises count each time)."""
         return self._size
+
+    @memoized
+    def digest(self) -> bytes:
+        """SHA-256 over the rule, ``str(conclusion)`` and premise digests.
+
+        Key-independent (terms render keys by label) and a function of
+        the fields alone, so the memo may travel inside pickles.  The
+        note is commentary and does not enter the digest.
+        """
+        rule = self.rule.encode()
+        conclusion = str(self.conclusion).encode()
+        h = hashlib.sha256(b"%d:%s%d:%s" % (len(rule), rule, len(conclusion), conclusion))
+        for premise in self.premises:
+            h.update(premise.digest())
+        return h.digest()
 
 
 def render_proof(step: ProofStep, indent: int = 0) -> str:

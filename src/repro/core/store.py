@@ -12,7 +12,10 @@ Section 4.3).
 Queries are served from a **discrimination index** rather than a linear
 scan: every belief is bucketed by its head constructor (``KeySpeaksFor``,
 ``Controls``, ``Not(SpeaksForGroup)``, ...) and a secondary key on the
-formula's ground subject/key/group slot.  Beliefs whose secondary slot
+formula's ground subject/key/group slot.  Revocations
+(``Not(SpeaksForGroup)``) key on the ground ``(subject, group)`` pair, so
+a believe-until-revoked check reads the one bucket of its membership
+however many revocations came before.  Beliefs whose secondary slot
 contains pattern variables (schema-shaped beliefs, e.g. the jurisdiction
 statements of Appendix E) land in a per-head wildcard bucket that every
 probe of that head also visits.  A query whose own head is indeterminate
@@ -26,7 +29,8 @@ insertion sequence number and merged candidate lists are sorted by it).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..obs.metrics import MetricsRegistry
 from .formulas import (
@@ -67,19 +71,38 @@ _SECONDARY_FIELD: Dict[type, str] = {
 # Secondary bucket for beliefs whose key slot contains pattern variables.
 _WILDCARD = "*"
 
+_REVOCATION_HEAD = ("Not", SpeaksForGroup)
+
 _Entry = Tuple[int, Formula, ProofStep]
+
+
+def _revoked_pair(membership: SpeaksForGroup) -> Optional[Tuple[object, object]]:
+    """The ground ``(subject, group)`` of a revoked membership, else None."""
+    pair = membership.subject, membership.group
+    return pair if _is_ground_pair(*pair) else None
+
+
+@lru_cache(maxsize=4096)
+def _is_ground_pair(subject: object, group: object) -> bool:
+    # Memoized: every request's revocation check asks this of its
+    # membership's deep threshold subject, and groundness is the same
+    # for equal terms.
+    return is_ground(subject) and is_ground(group)
 
 
 def _belief_key(formula: object) -> Tuple[object, object]:
     """(head, secondary) bucket key for a stored belief.
 
     ``Not`` nests: ``Not(S => G)`` lands under ``("Not", SpeaksForGroup)``
-    with the inner formula's secondary, so revocation lookups touch only
-    negations of the right shape.
+    keyed by its ground ``(S, G)`` pair, so a revocation lookup reads
+    the revocations of one membership only.
     """
     cls = formula.__class__
     if cls is Not:
-        inner_head, inner_sec = _belief_key(formula.body)
+        body = formula.body
+        if body.__class__ is SpeaksForGroup:
+            return _REVOCATION_HEAD, _revoked_pair(body) or _WILDCARD
+        inner_head, inner_sec = _belief_key(body)
         return ("Not", inner_head), inner_sec
     field = _SECONDARY_FIELD.get(cls)
     if field is None:
@@ -95,13 +118,17 @@ def _schema_key(schema: object) -> Optional[Tuple[object, object]]:
 
     Returns None when the schema's head is indeterminate (a ``Var`` or a
     non-formula object), which forces a full scan.  A ``None`` secondary
-    means "all secondary buckets of this head".
+    means "all secondary buckets of this head": a revocation schema
+    with a variable subject or group visits every revocation bucket.
     """
     cls = schema.__class__
     if not isinstance(schema, Formula):
         return None
     if cls is Not:
-        inner = _schema_key(schema.body)
+        body = schema.body
+        if body.__class__ is SpeaksForGroup:
+            return _REVOCATION_HEAD, _revoked_pair(body)
+        inner = _schema_key(body)
         if inner is None:
             return None
         inner_head, inner_sec = inner
@@ -123,9 +150,10 @@ class BeliefStore:
         # head -> secondary -> entries, each entry (seq, formula, proof).
         self._index: Dict[object, Dict[object, List[_Entry]]] = {}
         self._next_seq = 0
-        # Bucket keys whose entry lists are shared with a fork (see
-        # :meth:`fork`); such a bucket is copied before its first append.
-        self._cow_buckets: set = set()
+        # Keys of the buckets whose entry lists this store owns: made or
+        # copied here since the last fork.  Any other bucket may be
+        # shared with a fork and is copied before its first append.
+        self._owned: Set[Tuple[object, object]] = set()
         # Observability counters, surfaced via DerivationEngine.stats()
         # and the unified registry (repro.obs.metrics).
         self.metrics = MetricsRegistry("store")
@@ -142,6 +170,11 @@ class BeliefStore:
     def __len__(self) -> int:
         return len(self._beliefs)
 
+    @property
+    def index_probes(self) -> int:
+        """Index lookups so far (the ``index_probes`` of :meth:`stats`)."""
+        return self._stat_probes.value
+
     def __contains__(self, formula: Formula) -> bool:
         return formula in self._beliefs
 
@@ -155,15 +188,14 @@ class BeliefStore:
         if existing is not None:
             return existing
         self._beliefs[formula] = proof
-        head, secondary = _belief_key(formula)
+        key = head, secondary = _belief_key(formula)
         by_secondary = self._index.setdefault(head, {})
-        bucket = by_secondary.get(secondary)
-        if bucket is None:
-            bucket = by_secondary[secondary] = []
-        elif (head, secondary) in self._cow_buckets:
-            # Copy-on-write: this entry list is shared with a fork.
-            bucket = by_secondary[secondary] = list(bucket)
-            self._cow_buckets.discard((head, secondary))
+        if key in self._owned:
+            bucket = by_secondary[secondary]
+        else:
+            # New here, or possibly shared with a fork: copy on write.
+            bucket = by_secondary[secondary] = list(by_secondary.get(secondary, ()))
+            self._owned.add(key)
         bucket.append((self._next_seq, formula, proof))
         self._next_seq += 1
         return proof
@@ -256,12 +288,15 @@ class BeliefStore:
 
         The clone observes exactly the beliefs present now and diverges
         independently afterwards: adds on either side never appear on
-        the other.  The belief map is copied (O(beliefs) pointer
-        copies); index entry lists are *shared* and each side copies a
-        bucket lazily before its first post-fork append, so the index
-        costs O(buckets) at fork time.  The store holds standing beliefs
-        only (see :class:`RequestBeliefs`), so a fork's cost follows
-        the certificate population, not the traffic served.
+        the other.  The belief map and the per-head bucket maps are
+        copied (pointer copies in C); the entry lists are *shared*, and
+        each side copies a bucket before its first post-fork append.
+        Ownership is tracked the other way round, as the buckets each
+        side has made or copied since: the fork clears the parent's
+        owned set and starts the clone's empty, so it does no Python
+        work per bucket.  The store holds standing beliefs only (see
+        :class:`RequestBeliefs`), so a fork's cost follows the
+        certificate population, not the traffic served.
 
         This is the primitive behind epoch snapshots in
         :mod:`repro.service`: publishing a policy epoch forks every
@@ -277,13 +312,8 @@ class BeliefStore:
         clone._next_seq = self._next_seq
         clone.metrics = self.metrics.fork()
         clone._bind_metrics()
-        shared = {
-            (head, secondary)
-            for head, by_secondary in self._index.items()
-            for secondary in by_secondary
-        }
-        clone._cow_buckets = set(shared)
-        self._cow_buckets |= shared
+        clone._owned = set()
+        self._owned.clear()
         return clone
 
     # ------------------------------------------------------------- stats
@@ -297,7 +327,7 @@ class BeliefStore:
         return {
             "beliefs": len(self._beliefs),
             "index_buckets": sum(len(v) for v in self._index.values()),
-            "index_probes": self._stat_probes.value,
+            "index_probes": self.index_probes,
             "full_scans": self._stat_full_scans.value,
             "candidates_examined": self._stat_candidates.value,
         }

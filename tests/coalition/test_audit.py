@@ -4,8 +4,15 @@ import dataclasses
 
 import pytest
 
-from repro.coalition import build_joint_request
+from repro.coalition import (
+    ACLEntry,
+    Coalition,
+    CoalitionServer,
+    Domain,
+    build_joint_request,
+)
 from repro.coalition.audit import AuditLog, AuditVerificationError
+from repro.pki import ValidityPeriod
 
 
 def _decisions(formed_coalition, write_certificate, count=3):
@@ -58,6 +65,70 @@ class TestAppendAndVerify:
             for d in _decisions(formed_coalition, write_certificate, count=2)
         ]
         assert entries[0].proof_digest != entries[1].proof_digest
+
+    def test_proof_digest_is_the_merkle_root(
+        self, formed_coalition, write_certificate
+    ):
+        decision = _decisions(formed_coalition, write_certificate, count=1)[0]
+        entry = AuditLog().append(decision)
+        assert entry.proof_digest == decision.proof.digest().hex()
+
+    def test_proof_digest_is_key_independent(self):
+        """Two servers with fresh keys log the same root for one request."""
+
+        def grant():
+            domains = [Domain(f"D{i}", key_bits=256) for i in (1, 2, 3)]
+            users = [
+                d.register_user(f"User_D{i}", now=0)
+                for i, d in enumerate(domains, start=1)
+            ]
+            coalition = Coalition("digest", key_bits=256)
+            coalition.form(domains)
+            server = CoalitionServer("ServerP")
+            coalition.attach_server(server)
+            server.create_object(
+                "ObjectO", b"x", [ACLEntry.of("G_write", ["write"])], "G_admin"
+            )
+            cert = coalition.authority.issue_threshold_certificate(
+                users, 2, "G_write", 0, ValidityPeriod(0, 1_000)
+            )
+            request = build_joint_request(
+                users[0], [users[1]], "write", "ObjectO", cert, now=5, nonce="n"
+            )
+            decision = server.protocol.authorize(
+                request, server.object_acl("ObjectO"), now=6
+            )
+            assert decision.granted
+            return decision.proof, AuditLog().append(decision).proof_digest
+
+        (proof_a, digest_a), (proof_b, digest_b) = grant(), grant()
+        assert proof_a != proof_b  # different key fingerprints
+        assert digest_a == digest_b
+
+
+class TestTailDigest:
+    def test_each_entry_links_to_the_previous_digest(
+        self, formed_coalition, write_certificate
+    ):
+        log = AuditLog()
+        for decision in _decisions(formed_coalition, write_certificate):
+            log.append(decision)
+        log.append_event(9, "write", "ObjectO", "flow-degraded")
+        entries = log.entries()
+        for previous, entry in zip(entries, entries[1:]):
+            assert entry.previous_digest == previous.digest()
+
+    def test_reseeded_log_resumes_from_the_tail(
+        self, formed_coalition, write_certificate
+    ):
+        decisions = _decisions(formed_coalition, write_certificate)
+        log = AuditLog()
+        log.append(decisions[0])
+        log.append(decisions[1])
+        resumed = AuditLog.reseed(log.entries(), log.keypair)
+        entry = resumed.append(decisions[2])
+        assert entry.previous_digest == log.entries()[-1].digest()
+        resumed.verify(expected_length=3)
 
 
 class TestTamperEvidence:

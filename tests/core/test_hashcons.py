@@ -1,0 +1,99 @@
+"""Memoized structural hashes do not travel inside pickles.
+
+A string's hash depends on ``PYTHONHASHSEED``, so a hash memo carried
+from one process into another disagrees with the hash of an equal node
+built there, and every dict or set lookup of the loaded node misses.
+Process-mode shard workers receive their epochs by pickle, so this is
+checked across two interpreters started with different seeds.
+"""
+
+import os
+import pickle
+import subprocess
+import sys
+import textwrap
+
+import repro
+from repro.core.formulas import Not, SpeaksForGroup
+from repro.core.temporal import Temporal
+from repro.core.terms import CompoundPrincipal, Group, KeyRef, Principal
+
+BUILD = textwrap.dedent(
+    """
+    from repro.core.formulas import Not, SpeaksForGroup
+    from repro.core.temporal import Temporal
+    from repro.core.terms import CompoundPrincipal, Group, KeyRef, Principal
+
+    def build():
+        members = [
+            Principal(name).bound_to(KeyRef("k-" + name, "K_" + name))
+            for name in ("alice", "bob", "carol")
+        ]
+        return Not(
+            SpeaksForGroup(
+                CompoundPrincipal.of(members).threshold(2),
+                Temporal.all(3, 99),
+                Group("G_write"),
+            )
+        )
+    """
+)
+
+DUMP = BUILD + textwrap.dedent(
+    """
+    import pickle, sys
+    formula = build()
+    hash(formula)  # fill the memo on every node before pickling
+    sys.stdout.buffer.write(pickle.dumps(formula))
+    """
+)
+
+LOAD = BUILD + textwrap.dedent(
+    """
+    import pickle, sys
+    loaded = pickle.loads(sys.stdin.buffer.read())
+    fresh = build()
+    assert loaded == fresh
+    assert hash(loaded) == hash(fresh), "loaded node kept a foreign hash"
+    assert loaded in {fresh: 1}
+    assert loaded.body.subject in {fresh.body.subject}
+    print("ok")
+    """
+)
+
+
+def _python(code, seed, stdin=None):
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        input=stdin,
+        env=env,
+        capture_output=True,
+        check=True,
+        timeout=60,
+    ).stdout
+
+
+def test_pickled_formula_hashes_like_a_fresh_one_under_another_seed():
+    pickled = _python(DUMP, seed=1)
+    assert _python(LOAD, seed=2, stdin=pickled).strip() == b"ok"
+
+
+def test_pickle_drops_only_the_hash_memo():
+    formula = Not(
+        SpeaksForGroup(
+            CompoundPrincipal.of([Principal("u")]).threshold(1),
+            Temporal.all(0, 5),
+            Group("G"),
+        )
+    )
+    hash(formula)
+    assert "_memo___hash__" in formula.__dict__
+    state = formula.__getstate__()
+    assert "_memo___hash__" not in state
+    assert "_memo___hash__" in formula.__dict__  # the live memo stays
+    loaded = pickle.loads(pickle.dumps(formula))
+    assert loaded == formula and hash(loaded) == hash(formula)
+    key = KeyRef("k", "K")
+    assert pickle.loads(pickle.dumps(key)) == key

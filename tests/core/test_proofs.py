@@ -107,3 +107,65 @@ class TestRecordedSize:
     def test_size_stays_out_of_eq_and_repr(self):
         assert "_size" not in repr(_tree())
         assert _tree() == _tree() and hash(_tree()) == hash(_tree())
+
+
+class TestMerkleDigest:
+    """``digest()`` is a Merkle root over rules, conclusions and premises."""
+
+    def test_equal_trees_equal_roots(self):
+        assert _tree().digest() == _tree().digest()
+        assert len(_tree().digest()) == 32
+
+    def test_conclusion_rule_and_premise_order_change_the_root(self):
+        root = _tree()
+        mid = root.premises[0]
+        leaf1, leaf2 = mid.premises
+        variants = [
+            dataclasses.replace(root, conclusion=Data("y")),
+            dataclasses.replace(root, rule="A37"),
+            dataclasses.replace(
+                root, premises=(dataclasses.replace(mid, premises=(leaf2, leaf1)),)
+            ),
+            dataclasses.replace(
+                root,
+                premises=(
+                    dataclasses.replace(
+                        mid, premises=(leaf1, dataclasses.replace(leaf2, conclusion=Data("p3")))
+                    ),
+                ),
+            ),
+        ]
+        digests = {root.digest(), *(v.digest() for v in variants)}
+        assert len(digests) == len(variants) + 1
+
+    def test_note_is_not_digested(self):
+        root = _tree()
+        assert dataclasses.replace(root, note="commentary").digest() == root.digest()
+
+    def test_rule_and_conclusion_boundary_is_unambiguous(self):
+        a = ProofStep(Data("1:x"), "A")
+        b = ProofStep(Data("x"), "A1:")
+        assert str(a.conclusion) != str(b.conclusion)
+        assert a.digest() != b.digest()
+
+    def test_memo_is_per_object_and_replace_drops_it(self):
+        root = _tree()
+        first = root.digest()
+        assert root.__dict__["_memo_digest"] == first
+        changed = dataclasses.replace(root, rule="A37")
+        assert "_memo_digest" not in changed.__dict__
+        assert changed.digest() != first
+
+    def test_memo_stays_out_of_eq_and_repr(self):
+        root = _tree()
+        root.digest()
+        assert root == _tree()
+        assert "_memo_digest" not in repr(root)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_trees)
+    def test_pickled_root_matches(self, tree):
+        tree.digest()
+        clone = pickle.loads(pickle.dumps(tree))
+        assert clone.digest() == tree.digest()
+        assert clone.digest() == dataclasses.replace(tree).digest()

@@ -38,6 +38,11 @@ class NaiveStore:
     def __init__(self):
         self._beliefs = {}
 
+    def fork(self):
+        clone = NaiveStore()
+        clone._beliefs = dict(self._beliefs)
+        return clone
+
     def add(self, proof):
         existing = self._beliefs.get(proof.conclusion)
         if existing is not None:
@@ -193,6 +198,50 @@ def test_randomized_parity(seed):
 
     assert indexed.snapshot() == naive.snapshot()
     assert len(indexed) == len(naive.snapshot())
+
+
+def _check_probe(fuzz, indexed, naive):
+    rng = fuzz.rng
+    schema = fuzz.formula(schema=True)
+    op = rng.random()
+    if op < 0.4:
+        assert indexed.query(schema) == naive.query(schema)
+    elif op < 0.7:
+        assert indexed.first(schema) == naive.first(schema)
+    else:
+        while isinstance(schema, Not):
+            schema = schema.body
+        assert indexed.negations_of(schema) == naive.negations_of(schema)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_randomized_parity_across_forks(seed):
+    """Forks diverge exactly as independent copies of a naive store do.
+
+    Every side of a growing family of forks gets its own adds (often
+    to buckets it shares with its parent or child) and probes; each
+    side stays in exact parity with a naive copy taken at fork time.
+    """
+    fuzz = FormulaFuzzer(100 + seed)
+    rng = fuzz.rng
+    sides = [(BeliefStore(), NaiveStore())]
+    for _step in range(600):
+        indexed, naive = rng.choice(sides)
+        op = rng.random()
+        if op < 0.08 and len(sides) < 12:
+            sides.append((indexed.fork(), naive.fork()))
+        elif op < 0.6:
+            # Revocations and memberships share few keys, so the
+            # (subject, group) buckets see repeated appends on both sides.
+            proof = ProofStep(conclusion=fuzz.formula(schema=rng.random() < 0.1), rule="premise")
+            kept_i, kept_n = indexed.add(proof), naive.add(proof)
+            assert kept_i.conclusion == kept_n.conclusion
+        else:
+            _check_probe(fuzz, indexed, naive)
+    for indexed, naive in sides:
+        assert indexed.snapshot() == naive.snapshot()
+        for _ in range(20):
+            _check_probe(fuzz, indexed, naive)
 
 
 def test_bare_var_schema_falls_back_to_full_scan():
