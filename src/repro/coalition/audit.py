@@ -11,6 +11,10 @@ Each entry binds: sequence number, decision metadata, the proof-tree
 digest (the Merkle root of :meth:`~repro.core.proofs.ProofStep.digest`,
 so the logged decision can be matched against a retained proof), and
 the previous entry's digest — a classic hash chain.
+
+A log bound to a write-ahead log (:meth:`AuditLog.bind_wal`) keeps
+only the entry count and the tail digest in memory; its entries live
+in the WAL and are read back from there.
 """
 
 from __future__ import annotations
@@ -91,7 +95,9 @@ class AuditLog:
 
     def __init__(self, signer: Optional[RSAKeyPair] = None, key_bits: int = 256):
         self._signer = signer or generate_keypair(bits=key_bits)
+        # The entries themselves, while no WAL holds them.
         self._entries: List[AuditEntry] = []
+        self._count = 0
         # Digest of the last entry: the next entry's previous_digest.
         self._tail_digest = _GENESIS
         # Appends read the previous digest and extend the chain; the
@@ -101,7 +107,8 @@ class AuditLog:
         # Optional durability sink (repro.storage.wal.WriteAheadLog):
         # when bound, every signed entry is appended to the WAL inside
         # the same critical section that extends the chain, so the
-        # on-disk order is exactly the chain order.
+        # on-disk order is exactly the chain order, and the WAL is the
+        # only copy of the entries.
         self._wal = None
 
     @property
@@ -113,9 +120,16 @@ class AuditLog:
         return self._signer
 
     def bind_wal(self, wal) -> None:
-        """Mirror every future append into ``wal`` (a WriteAheadLog)."""
+        """Store every future append in ``wal`` (a WriteAheadLog) only.
+
+        ``wal`` must already hold this log's entries: it is fresh and
+        the log empty, or the entries were recovered from it.  From
+        here on :meth:`entries`, :meth:`events` and :meth:`verify` read
+        them back from the WAL.
+        """
         with self._lock:
             self._wal = wal
+            self._entries = []
 
     @classmethod
     def reseed(
@@ -135,16 +149,18 @@ class AuditLog:
             cls.verify_chain(entries, signer.public)
         log = cls(signer=signer)
         log._entries = list(entries)
+        log._count = len(entries)
         if entries:
             log._tail_digest = entries[-1].digest()
         return log
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return self._count
 
     def entries(self) -> List[AuditEntry]:
         with self._lock:
+            if self._wal is not None:
+                return self._wal.read_entries()
             return list(self._entries)
 
     def append(
@@ -158,7 +174,7 @@ class AuditLog:
         """
         with self._lock:
             entry = AuditEntry(
-                sequence=len(self._entries),
+                sequence=self._count,
                 timestamp=decision.checked_at,
                 operation=decision.operation,
                 object_name=decision.object_name,
@@ -193,7 +209,7 @@ class AuditLog:
         """
         with self._lock:
             entry = AuditEntry(
-                sequence=len(self._entries),
+                sequence=self._count,
                 timestamp=timestamp,
                 operation=operation,
                 object_name=object_name,
@@ -209,8 +225,7 @@ class AuditLog:
 
     def events(self, kind: Optional[str] = None) -> List[AuditEntry]:
         """Entries recorded via :meth:`append_event` (optionally by kind)."""
-        with self._lock:
-            out = [e for e in self._entries if e.event_kind]
+        out = [e for e in self.entries() if e.event_kind]
         if kind is not None:
             out = [e for e in out if e.event_kind == kind]
         return out
@@ -223,10 +238,12 @@ class AuditLog:
             entry, signature=self._signer.private.sign(payload)
         )
         with self._lock:
-            self._entries.append(signed)
-            self._tail_digest = hashlib.sha256(payload).hexdigest()
             if self._wal is not None:
                 self._wal.append_entry(signed)
+            else:
+                self._entries.append(signed)
+            self._count += 1
+            self._tail_digest = hashlib.sha256(payload).hexdigest()
         return signed
 
     @staticmethod

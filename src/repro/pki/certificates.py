@@ -6,9 +6,10 @@ the logic (Section 4.2's "idealized time-stamped certificates"), so the
 coalition server can first verify bytes and then reason about trust.
 
 Certificates are frozen, so the bytes a signature covers, the subject
-key and its key id are computed once per object and memoized on it
-(:func:`repro.core.hashcons.memoized`); the signature itself is still
-checked on every use.
+key, its key id and the structural hash are computed once per object
+and memoized on it (:func:`repro.core.hashcons.memoized` and
+:func:`~repro.core.hashcons.cached_hash`; the hash memo stays out of
+pickles); the signature itself is still checked on every use.
 
 The correspondence, using the paper's notation:
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 from ..core.formulas import KeySpeaksFor, Not, Says, SpeaksForGroup
-from ..core.hashcons import memoized
+from ..core.hashcons import cached_hash, memoized
 from ..core.messages import Signed
 from ..core.temporal import FOREVER, Temporal
 from ..core.terms import (
@@ -70,6 +71,7 @@ class ValidityPeriod:
         return Temporal.all(self.begin, self.end)
 
 
+@cached_hash
 @dataclass(frozen=True)
 class IdentityCertificate:
     """Binds a subject name to a public key, signed by a domain CA.
@@ -130,6 +132,7 @@ class IdentityCertificate:
         return Signed(says, KeyRef(self.issuer_key_id, f"K_{self.issuer}"))
 
 
+@cached_hash
 @dataclass(frozen=True)
 class AttributeCertificate:
     """Grants group membership to one key-bound subject (``P|K => G``)."""
@@ -173,6 +176,7 @@ class AttributeCertificate:
         return Signed(says, KeyRef(self.issuer_key_id, f"K_{self.issuer}"))
 
 
+@cached_hash
 @dataclass(frozen=True)
 class ThresholdAttributeCertificate:
     """Grants ``m``-of-``n`` group membership to key-bound subjects.
@@ -229,6 +233,7 @@ class ThresholdAttributeCertificate:
         return Signed(says, KeyRef(self.issuer_key_id, f"K_{self.issuer}"))
 
 
+@cached_hash
 @dataclass(frozen=True)
 class RevocationCertificate:
     """Revokes a previously distributed certificate.

@@ -3,13 +3,14 @@
 Sits in front of :class:`repro.coalition.protocol.AuthorizationProtocol`
 and provides what a single per-request protocol instance cannot:
 
-* shard-parallel evaluation keyed by resource (``sharding``),
+* shards keyed by resource, decided on the submitting thread or in
+  per-shard worker processes (``sharding``),
 * immutable epoch snapshots of policy state, so revocations and ACL
   changes apply atomically across shards (``epoch``),
 * bounded admission queues with typed ``Overloaded`` load shedding and
   in-flight dedup (``admission``),
-* per-ticket fault isolation (typed ``Errored`` outcomes), supervised
-  worker restarts with circuit breaking (``supervisor``), liveness and
+* per-ticket fault isolation (typed ``Errored`` outcomes), restart
+  budgets with circuit breaking (``supervisor``), liveness and
   readiness probes (``health``), and a deterministic fault injector for
   adversarial testing (``chaos``),
 * an asyncio TCP front door speaking a length-prefixed JSON protocol
@@ -48,7 +49,7 @@ from .scenarios import (
     run_scenario,
 )
 from .service import AuthorizationService, ServiceError
-from .sharding import ShardWorker, shard_for, shard_key
+from .sharding import shard_for, shard_key
 from .supervisor import CircuitBreaker, RestartEvent, WorkerSupervisor
 from .wire import ClientBundle, EdgeClient, ProtocolError
 
@@ -87,7 +88,6 @@ __all__ = [
     "EdgeClient",
     "ClientBundle",
     "ProtocolError",
-    "ShardWorker",
     "shard_for",
     "shard_key",
     "CircuitBreaker",

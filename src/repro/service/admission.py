@@ -84,12 +84,12 @@ class Errored(AuthorizationDecision):
 
 
 class Ticket:
-    """A pending decision: resolved exactly once by a shard worker.
+    """A pending decision: resolved exactly once by its decider.
 
     Carries the admission-time pinning (epoch, shard, global sequence
     number) plus wall-clock timestamps for latency percentiles.
     ``predecessor`` is the previous in-flight ticket sharing a nonce,
-    if any — the worker waits for it before evaluating, so replay
+    if any — its decider waits for it before evaluating, so replay
     semantics are identical to a sequential server even when the two
     requests landed on different shards.
     """
@@ -257,29 +257,6 @@ class ShardQueue:
             if self._items:
                 self._not_empty.notify()
 
-    def pop(
-        self,
-        timeout: Optional[float] = None,
-        stop: Optional[threading.Event] = None,
-    ) -> Optional[Ticket]:
-        """Next ticket in admission order, or None on timeout/stop/wake.
-
-        With ``timeout=None`` this blocks on the queue condition until
-        an item arrives or :meth:`wake` is called — no polling.  The
-        optional ``stop`` event short-circuits the wait when a
-        shutdown was requested before the pop (``wake`` notifies under
-        the queue lock, so a stop can never slip between the check and
-        the wait).
-        """
-        with self._lock:
-            if not self._items:
-                if stop is not None and stop.is_set():
-                    return None
-                self._not_empty.wait(timeout)
-            if not self._items:
-                return None
-            return self._items.popleft()
-
     def pop_batch(
         self,
         max_batch: int,
@@ -288,7 +265,9 @@ class ShardQueue:
     ) -> "list[Ticket]":
         """Drain up to ``max_batch`` tickets in one condvar wakeup.
 
-        Blocks (like :meth:`pop`) only while the queue is *empty*: the
+        Blocks only while the queue is *empty* (until an item arrives or
+        :meth:`wake` is called — no polling; ``stop`` short-circuits
+        the wait when a shutdown was requested before it): the
         moment at least one ticket is available, everything queued — up
         to ``max_batch`` — is taken under a single lock acquisition,
         without waiting for more arrivals.  So a burst is drained in
@@ -313,7 +292,7 @@ class ShardQueue:
             return [self._items.popleft() for _ in range(take)]
 
     def wake(self) -> None:
-        """Nudge any blocked :meth:`pop` (shutdown / supervision)."""
+        """Nudge any blocked :meth:`pop_batch` (shutdown / supervision)."""
         with self._lock:
             self._not_empty.notify_all()
 
@@ -323,11 +302,6 @@ class ShardQueue:
             items = list(self._items)
             self._items.clear()
             return items
-
-    def peek_seq(self) -> Optional[int]:
-        """Sequence number of the head ticket (for ordered manual pumps)."""
-        with self._lock:
-            return self._items[0].seq if self._items else None
 
     def head_epoch_id(self) -> Optional[int]:
         """Epoch id the head (oldest) queued ticket pinned, if any.

@@ -14,8 +14,9 @@ Every fault kind is reproducible:
   typed ``Errored`` decision and the worker must keep draining.
 * **slow-evaluate** — sleep ``slow_s`` inside every ``slow_every``-th
   evaluation.  Exercises queue backpressure and latency tails.
-* **worker-kill** — raise :class:`WorkerKilled` so the shard worker
-  thread dies outright.  ``WorkerKilled`` derives from
+* **worker-kill** — raise :class:`WorkerKilled` so the shard's worker
+  crashes outright: a logical restart in threaded and manual modes, a
+  dead worker process in process mode.  ``WorkerKilled`` derives from
   ``BaseException`` *on purpose*: per-ticket isolation catches
   ``Exception``, so a kill cannot be absorbed as a mere errored ticket
   — it must travel the crash/supervision path.  ``kill_in_flight``
@@ -26,11 +27,12 @@ Every fault kind is reproducible:
   prove admission-time pinning holds under churn).
 
 Counting faults (``raise_every``, ``at``) are deterministic given the
-evaluation order; under the ``manual`` service mode that order
-is the admission order, so runs replay exactly.  Probabilistic faults
-(``raise_prob``) draw from one ``random.Random(seed)`` stream: the
-*number* of faults is reproducible in manual mode, and in
-threaded mode the stream still makes runs statistically comparable.
+evaluation order; in the ``manual`` and single-submitter ``threaded``
+service modes that order is the admission order, so runs replay
+exactly.  Probabilistic faults (``raise_prob``) draw from one
+``random.Random(seed)`` stream: the *number* of faults is reproducible
+there, and in process mode the stream still makes runs statistically
+comparable.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class InjectedFault(RuntimeError):
 
 
 class WorkerKilled(BaseException):
-    """Kills a shard worker thread outright.
+    """Crashes a shard's worker outright (see the module docstring).
 
     Deliberately **not** an ``Exception`` subclass: per-ticket fault
     isolation (``except Exception``) must not be able to swallow a
@@ -155,11 +157,11 @@ class FaultInjector:
             raise InjectedFault(f"chaos: injected fault at evaluation {n}")
 
     def on_worker_loop(self, shard: int, tickets_processed: int) -> None:
-        """Called by each worker at the top of its drain loop.
+        """Called before each ticket a shard's worker takes up.
 
         Raises :class:`WorkerKilled` when this shard is scheduled to
         die at the loop top (no ticket in hand, queue left intact for
-        the supervisor's replacement worker to drain).
+        the restarted worker to drain).
         """
         config = self.config
         if config.kill_shard != shard or config.kill_in_flight:

@@ -25,13 +25,17 @@ possible — a decision travelling through the socket must be the same
 decision in-process submission produces, because the edge had no
 opportunity to change it.
 
-Concurrency shape: the event loop owns parsing and writing; ticket
-resolution happens on shard-worker threads, which wake the loop via
-``Ticket.add_done_callback`` → ``loop.call_soon_threadsafe`` — no
-waiter thread per in-flight request, no polling.  Each connection
-pipelines: responses go out in completion order, correlated by the
-request ``id`` the client sent, serialized by a per-connection write
-lock.
+Concurrency shape: the event loop owns parsing, deciding and writing.
+A threaded service decides each tick's batch inside ``submit_batch``,
+on the loop thread, so the edge resolves every future directly.  Only
+a process-mode service resolves tickets elsewhere (its result-pump
+threads), and those wake the loop via ``Ticket.add_done_callback`` →
+``loop.call_soon_threadsafe`` — no waiter thread per in-flight
+request, no polling.  Each connection pipelines: responses go out in
+completion order, correlated by the request ``id`` the client sent.
+The responses of one connection that resolve in the same loop tick
+leave as one ``write`` and one ``drain``, serialized by a
+per-connection write lock.
 
 Shutdown is drain-first (``SIGTERM`` in the CLI): stop accepting,
 let in-flight tickets resolve, flush their responses, then close.
@@ -68,6 +72,16 @@ __all__ = [
 # stays open until an operator intervenes, so its hint is much longer.
 RETRY_AFTER_OVERLOADED_S = 0.05
 RETRY_AFTER_CIRCUIT_OPEN_S = 1.0
+
+
+class _Outbox:
+    """One connection's encoded responses awaiting their write."""
+
+    __slots__ = ("frames", "lock")
+
+    def __init__(self):
+        self.frames: List[bytes] = []
+        self.lock = asyncio.Lock()
 
 
 class EdgeServer:
@@ -165,14 +179,14 @@ class EdgeServer:
     ) -> None:
         self._connections_total.inc()
         self._open_connections += 1
-        write_lock = asyncio.Lock()
+        outbox = _Outbox()
         response_tasks: "set[asyncio.Task]" = set()
         try:
             while True:
                 try:
                     frame = await read_frame_async(reader, self.max_frame)
                 except ProtocolError as exc:
-                    await self._send_protocol_error(writer, write_lock, 0, exc)
+                    await self._send_protocol_error(writer, outbox, 0, exc)
                     if exc.fatal:
                         break
                     continue
@@ -180,7 +194,7 @@ class EdgeServer:
                     break
                 self._frames_in.inc()
                 task = asyncio.ensure_future(
-                    self._handle_frame(frame, writer, write_lock)
+                    self._handle_frame(frame, writer, outbox)
                 )
                 response_tasks.add(task)
                 task.add_done_callback(response_tasks.discard)
@@ -200,7 +214,7 @@ class EdgeServer:
         self,
         frame: Dict[str, Any],
         writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
+        outbox: "_Outbox",
     ) -> None:
         """Dispatch one parsed frame; never raises (typed errors out)."""
         req_id = frame.get("id")
@@ -209,17 +223,17 @@ class EdgeServer:
         kind = frame.get("kind")
         try:
             if kind == "authorize":
-                await self._handle_authorize(frame, req_id, writer, write_lock)
+                await self._handle_authorize(frame, req_id, writer, outbox)
             elif kind in ("healthz", "readyz", "health"):
                 await self._send(
-                    writer, write_lock, self._health_frame(kind, req_id)
+                    writer, outbox, self._health_frame(kind, req_id)
                 )
             else:
                 raise ProtocolError(
                     "unknown-kind", f"unknown frame kind {kind!r}"
                 )
         except ProtocolError as exc:
-            await self._send_protocol_error(writer, write_lock, req_id, exc)
+            await self._send_protocol_error(writer, outbox, req_id, exc)
         except (ConnectionError, OSError):  # peer went away mid-response
             pass
 
@@ -228,7 +242,7 @@ class EdgeServer:
         frame: Dict[str, Any],
         req_id: int,
         writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
+        outbox: "_Outbox",
     ) -> None:
         now = frame.get("now")
         if not isinstance(now, int) or isinstance(now, bool):
@@ -238,7 +252,7 @@ class EdgeServer:
             raise ProtocolError("bad-request", "edge is draining")
         decision = await self._submit(request, now)
         await self._send(
-            writer, write_lock, self._decision_frame(req_id, decision)
+            writer, outbox, self._decision_frame(req_id, decision)
         )
 
     # batched admission ------------------------------------------------
@@ -256,11 +270,12 @@ class EdgeServer:
         return future
 
     def _flush(self) -> None:
-        """Admit everything that arrived this tick in one batch.
+        """Admit and decide everything that arrived this tick in one batch.
 
-        Admission is non-blocking (bounded queues shed instead of
-        waiting), so calling into the service from the event loop is
-        safe; only *evaluation* happens on shard workers.
+        A threaded service decides the batch on this (the loop) thread
+        and returns resolved tickets; a process-mode service admits
+        without blocking (bounded queues shed instead of waiting) and
+        resolves on its result-pump threads.
         """
         self._flush_scheduled = False
         pending, self._pending = self._pending, []
@@ -273,9 +288,12 @@ class EdgeServer:
             [(request, now) for request, now, _ in pending]
         )
         for ticket, (_, _, future) in zip(tickets, pending):
+            if ticket.done():
+                self._resolve_future(future, ticket.result(0))
+                continue
 
             def _wake(decision, future=future):
-                # Runs on the resolving shard-worker thread; hop back
+                # Runs on the resolving result-pump thread; hop back
                 # to the loop.  A loop that died mid-flight raises
                 # RuntimeError here, which Ticket.resolve swallows.
                 loop.call_soon_threadsafe(self._resolve_future, future, decision)
@@ -372,18 +390,34 @@ class EdgeServer:
     async def _send(
         self,
         writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
+        outbox: "_Outbox",
         doc: Dict[str, Any],
     ) -> None:
-        async with write_lock:
-            writer.write(encode_frame(doc, self.max_frame))
+        """Queue one response; the tick's first sender writes them all.
+
+        Every response a connection resolves in one loop tick joins one
+        ``write`` and one ``drain``: the sender that finds the outbox
+        empty yields once, so the rest of the tick's responses can
+        join, then writes whatever is pending under the connection's
+        write lock.
+        """
+        frames = outbox.frames
+        frames.append(encode_frame(doc, self.max_frame))
+        if len(frames) > 1:
+            return  # an earlier sender of this tick writes it
+        await asyncio.sleep(0)
+        async with outbox.lock:
+            data = b"".join(frames)
+            count = len(frames)
+            frames.clear()
+            writer.write(data)
             await writer.drain()
-        self._responses_out.inc()
+        self._responses_out.inc(count)
 
     async def _send_protocol_error(
         self,
         writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
+        outbox: "_Outbox",
         req_id: int,
         exc: ProtocolError,
     ) -> None:
@@ -391,7 +425,7 @@ class EdgeServer:
         try:
             await self._send(
                 writer,
-                write_lock,
+                outbox,
                 {
                     "kind": "protocol-error",
                     "id": req_id,

@@ -7,15 +7,17 @@ module condenses that into the two questions an operator's probe
 actually asks:
 
 * **liveness** — is the service making progress at all?  A shard
-  counts as live while its worker runs, while a supervisor restart is
-  pending, or when its breaker is open (a failed-over shard still
-  *answers* — with typed sheds — it just doesn't evaluate).  Only a
-  dead worker nobody will restart makes the service not-live.
+  counts as live while it can decide (its worker process runs, or, in
+  threaded and manual modes, the service is open and the breaker
+  closed), while a supervisor restart is pending, or when its breaker
+  is open (a failed-over shard still *answers* — with typed sheds — it
+  just doesn't evaluate).  Only a dead worker process nobody will
+  restart makes the service not-live.
 * **readiness** — should new traffic be routed here?  A shard is ready
-  only when its breaker is closed, its queue has room, and a worker is
-  alive (or about to be restarted).
+  only when its breaker is closed, its queue has room, and it can
+  decide (or its worker process is about to be restarted).
 
-Probes read live service state (queue lengths, thread liveness,
+Probes read live service state (queue lengths, process liveness,
 breaker counters, epoch ids) without taking the admission lock, so
 they are safe to call from a monitoring thread at any rate.
 """
@@ -68,18 +70,22 @@ class ShardHealth:
 
 
 def shard_health(service: "AuthorizationService") -> List[ShardHealth]:
-    """Probe every shard.  Manual mode counts as always-alive."""
+    """Probe every shard.
+
+    Threaded and manual modes decide on the caller's thread: a shard
+    there is alive while the service is open and its breaker closed.
+    """
     current_epoch = service.epochs.current.epoch_id
     supervisor = service.supervisor
     out: List[ShardHealth] = []
     for shard in range(service.num_shards):
         worker = service._workers[shard]
-        if service.mode in ("threaded", "process"):
+        breaker = service._breakers[shard]
+        if service.mode == "process":
             alive = worker is not None and worker.is_alive()
             pinned = worker.epoch_id if worker is not None else current_epoch
         else:
-            # No thread to die: the pump is the worker.
-            alive = not service._closed
+            alive = not service._closed and not breaker.is_open
             pinned = current_epoch
         queue = service._queues[shard]
         # Staleness is measured at the oldest pending *work*: the head
@@ -88,7 +94,6 @@ def shard_health(service: "AuthorizationService") -> List[ShardHealth]:
         # reports 0 regardless of when its worker last (re)started.
         head_epoch = queue.head_epoch_id()
         observed = head_epoch if head_epoch is not None else current_epoch
-        breaker = service._breakers[shard]
         out.append(
             ShardHealth(
                 shard=shard,

@@ -27,10 +27,10 @@ service already established:
 
 Per shard the parent runs two threads around one duplex pipe:
 
-* the **dispatcher** pops ticket batches from the shard queue (the same
-  :meth:`~repro.service.admission.ShardQueue.pop_batch` the threaded
-  worker uses), runs the chaos hooks parent-side, ships epoch/nonce
-  frames as needed, then one ``eval`` frame per burst;
+* the **dispatcher** pops ticket batches from the shard queue
+  (:meth:`~repro.service.admission.ShardQueue.pop_batch`), runs the
+  chaos hooks parent-side, ships epoch/nonce frames as needed, then
+  one ``eval`` frame per burst;
 * the **result pump** receives ``done`` frames, rebuilds typed
   decisions, resolves tickets through the service's normal completion
   path (one accounting sweep per frame), and broadcasts nonce grants.
@@ -40,7 +40,7 @@ a pipe EOF (or a ``BrokenPipeError`` on ship), which resolves shipped
 tickets as :class:`~repro.service.admission.Errored`, re-queues the
 unshipped remainder at the queue head, and routes through the same
 ``_handle_crash`` → :class:`~repro.service.supervisor.CircuitBreaker`
-budget as a thread crash.  Children strip proof objects from decisions
+budget as a logical restart in the other modes.  Children strip proof objects from decisions
 before pickling — serializing a proof tree costs about as much as
 deriving it, and the parent-facing contract (granted/reason/steps) does
 not need it.
@@ -152,8 +152,8 @@ class _ChildDeath(Exception):
 class ProcessShardWorker:
     """One shard's worker process + its parent-side dispatcher and pump.
 
-    Duck-types the :class:`~repro.service.sharding.ShardWorker` surface
-    the supervisor, health probes and ``close()`` rely on: ``started``,
+    Offers the worker surface the supervisor, health probes and
+    ``close()`` rely on: ``started``,
     ``is_alive()``, ``stopping``, ``crashed``/``crash_exc``,
     ``epoch_id``, ``incarnation``, ``current_ticket``, ``stop()`` and
     ``join()``.  ``is_alive()`` reports the result pump, which outlives
@@ -358,7 +358,7 @@ class ProcessShardWorker:
         service = self._service
         chaos = service.chaos
         # Chaos counts *completed* tickets (kill_after semantics must
-        # match the threaded worker, where evaluation is synchronous
+        # match the caller-thread engine, where evaluation is synchronous
         # with the drain loop).  Dispatch normally outruns completion,
         # so under chaos we serialize: ship one ticket, wait for its
         # resolution, then run the next loop-top hook.  The chaos-free
@@ -418,7 +418,7 @@ class ProcessShardWorker:
                         service._complete(
                             ticket, service._errored_decision(ticket, exc)
                         )
-                        # Threaded workers count faulted tickets too.
+                        # The caller-thread engine counts faulted tickets too.
                         self.tickets_processed += 1
                         continue
                     self.current_ticket = None

@@ -490,7 +490,8 @@ class ScenarioRunner:
     ``transport="edge"`` routes request traffic through a real TCP
     connection via :class:`~repro.service.wire.EdgeClient` (operator
     events — membership, revocation — stay in-process, as they would in
-    a deployment's control plane); it requires a worker mode.
+    a deployment's control plane); it requires a worker mode, threaded
+    or process (in manual mode nothing would decide the edge's tickets).
     """
 
     def __init__(

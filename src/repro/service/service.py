@@ -3,9 +3,8 @@
 :class:`AuthorizationService` is the serving layer in front of
 :class:`~repro.coalition.protocol.AuthorizationProtocol`:
 
-* **Sharding** — requests route by resource key to one of N worker
-  protocols; independent objects evaluate concurrently, one object's
-  traffic stays ordered.
+* **Sharding** — requests route by resource key to one of N shard
+  protocols; one object's traffic stays ordered.
 * **Epochs** — policy state (trust anchors, ACLs, revocations) is
   pinned at admission; see :mod:`repro.service.epoch`.
 * **Backpressure** — bounded per-shard queues; a full queue resolves
@@ -19,36 +18,37 @@
   protocol evaluating the same admission stream.
 * **Supervision** — per-ticket fault isolation converts evaluation
   exceptions into typed :class:`~repro.service.admission.Errored`
-  decisions; a :class:`~repro.service.supervisor.WorkerSupervisor`
-  restarts crashed workers within a per-shard
-  :class:`~repro.service.supervisor.CircuitBreaker` budget, and a shard
-  that exhausts its budget fails over: queued and future requests shed
+  decisions; every shard has a
+  :class:`~repro.service.supervisor.CircuitBreaker` restart budget, and
+  a shard that exhausts it fails over: queued and future requests shed
   with typed :class:`~repro.service.admission.CircuitOpen` decisions.
   No admitted ticket is ever stranded (DESIGN.md §11).
 
-Execution modes: ``threaded`` (one worker thread per shard),
-``process`` (one worker **process** per shard, fed over a pipe —
-see :mod:`repro.service.procworker`), and ``manual`` (tickets queue
-until :meth:`pump` or :meth:`authorize`, deterministic — what the
-epoch tests, scenarios and replay drive).  The evaluation path is
-identical in all three; the mode only changes *where/when* it runs.
-In manual mode a "worker crash" (chaos ``WorkerKilled``) burns the
-same restart budget, but the restart is logical — the pump simply
-keeps draining.
+Execution modes: ``threaded`` (thread-safe; decided on the submitting
+thread), ``process`` (one worker **process** per shard, fed over a
+pipe and restarted by a
+:class:`~repro.service.supervisor.WorkerSupervisor` — see
+:mod:`repro.service.procworker`), and ``manual`` (tickets queue until
+:meth:`pump` or :meth:`authorize`, deterministic — what the epoch
+tests, scenarios and replay drive).  Threaded and manual modes share
+one engine: the caller takes the service's decision lock and decides
+every queued ticket in global sequence order (:meth:`_drain_queues`);
+threaded mode runs it inside :meth:`submit`/:meth:`submit_batch`, so
+they return resolved tickets, and manual mode runs it when the caller
+pumps.  In both, a chaos ``WorkerKilled`` is a logical restart that
+burns the shard's restart budget.
 
-Admission and completion are **batched** (DESIGN.md §12): callers can
-admit N requests under one pass of the admission path
-(:meth:`AuthorizationService.submit_batch`), workers drain bursts of
-tickets in one condvar wakeup (``ShardQueue.pop_batch``), and a
-drained batch's tickets are accounted with a single admission-lock
-sweep — the per-ticket lock/condvar round-trips that made sharding
-scale *backwards* are amortized across the burst.
+Admission is **batched** (DESIGN.md §12): callers can admit N
+requests under one pass of the admission path
+(:meth:`AuthorizationService.submit_batch`), and a decided batch's
+tickets are accounted with a single admission-lock sweep.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional
 
 from ..coalition.acl import ACL, ACLEntry
@@ -73,16 +73,13 @@ from .admission import (
 )
 from .chaos import FaultInjector, WorkerKilled
 from .epoch import Epoch, EpochManager, PolicyEntry
-from .sharding import DEFAULT_MAX_BATCH, ShardWorker, shard_for
+from .sharding import DEFAULT_MAX_BATCH, shard_for
 from .supervisor import CircuitBreaker, WorkerSupervisor
 from ..storage.wal import EpochRecord
 
 __all__ = ["AuthorizationService", "ServiceError"]
 
 _MODES = ("threaded", "process", "manual")
-# Modes with live per-shard workers (threads or processes) vs. manual
-# mode, where the caller's pump is the worker.
-_WORKER_MODES = ("threaded", "process")
 
 
 class ServiceError(Exception):
@@ -165,14 +162,13 @@ class AuthorizationService:
         self.epochs = EpochManager(protocols, self._shard_locks)
         self.protocol = _TrustFanout(self)
         self._queues = [ShardQueue(queue_depth) for _ in range(num_shards)]
-        # One worker slot per shard (None until started / after removal);
-        # the supervisor swaps in replacement incarnations on crash.
-        # In ``process`` mode the slots hold ProcessShardWorker objects,
-        # which duck-type the ShardWorker surface supervision uses.
-        self._workers: List[Optional[ShardWorker]] = [None] * num_shards
+        # Process mode: one ProcessShardWorker slot per shard; the
+        # supervisor swaps in replacement incarnations on crash.  The
+        # other modes decide on the caller's thread and leave these None.
+        self._workers: list = [None] * num_shards
         # Supervision: one crash budget per shard.  supervise only has
-        # meaning in worker modes (manual mode restarts logically).
-        self._supervise = supervise and mode in _WORKER_MODES
+        # meaning in process mode (the other modes restart logically).
+        self._supervise = supervise and mode == "process"
         self._breakers = [
             CircuitBreaker(
                 max_restarts=max_restarts,
@@ -183,6 +179,12 @@ class AuthorizationService:
         ]
         self.supervisor: Optional[WorkerSupervisor] = None
         self.chaos = chaos
+        # Threaded and manual modes: the caller deciding queued tickets
+        # holds this lock (one decider at a time, in sequence order).
+        # Per-shard decision counts feed the chaos loop-top hook and
+        # restart from zero with each logical restart.
+        self._decision_lock = threading.Lock()
+        self._decided = [0] * num_shards
         # Admission bookkeeping: global sequence, per-shard in-flight
         # dedup tables, and the tail ticket per nonce (replay chaining).
         # The global _admission_lock guards only the O(1)-per-request
@@ -251,7 +253,7 @@ class AuthorizationService:
             )
         else:
             self.audit_log = audit_log
-        if mode in _WORKER_MODES:
+        if mode == "process":
             self._start_workers()
 
     # ------------------------------------------------------ configuration
@@ -345,12 +347,13 @@ class AuthorizationService:
     def submit(self, request: JointAccessRequest, now: int) -> Ticket:
         """Admit a request: pin the epoch, route, queue (or shed).
 
-        Never blocks on evaluation.  Returns a ticket that resolves to
-        the decision — immediately with :class:`Overloaded` when the
-        target shard's queue is full, or :class:`CircuitOpen` when the
-        shard's circuit breaker has tripped.
+        Returns a ticket that resolves to the decision — immediately
+        with :class:`Overloaded` when the target shard's queue is full,
+        or :class:`CircuitOpen` when the shard's circuit breaker has
+        tripped.  In threaded mode the ticket is already resolved: the
+        calling thread decided it (and anything queued before it).
         """
-        return self._admit([(request, now)])[0]
+        return self._admit_and_decide([(request, now)])[0]
 
     def submit_batch(
         self, batch: Iterable[tuple]
@@ -362,12 +365,24 @@ class AuthorizationService:
         sequence order — but the O(1) bookkeeping for the whole batch
         runs under one acquisition of the admission lock and the queue
         pushes group into one ``try_push_batch`` per target shard, so
-        the per-request lock traffic amortizes across the batch.
+        the per-request lock traffic amortizes across the batch.  In
+        threaded mode every returned ticket is already resolved.
         """
         pairs = list(batch)
         if not pairs:
             return []
-        return self._admit(pairs)
+        return self._admit_and_decide(pairs)
+
+    def _admit_and_decide(self, pairs: List[tuple]) -> List[Ticket]:
+        tickets = self._admit(pairs)
+        if self.mode == "threaded":
+            self._drain_queues()
+            for ticket in tickets:
+                if not ticket.done():
+                    # Only a shed that another submitter is resolving
+                    # right now (it coalesced onto it) can be pending.
+                    ticket.wait()
+        return tickets
 
     def _admit(self, pairs: List[tuple]) -> List[Ticket]:
         """The admission path: one global pass, then per-shard pushes.
@@ -380,6 +395,14 @@ class AuthorizationService:
         not place (queue full, or the breaker opened between the
         phases) resolve as typed sheds through the normal completion
         path, so accounting stays exact.
+
+        Threaded mode pushes inside the phase-1 section.  A decider
+        collects queued tickets under the same lock (:meth:`_take_queued`),
+        so whatever it sees is every queued ticket up to some sequence
+        number: a same-nonce predecessor is resolved, ahead of its
+        successor in the collected batch, or a shed its admitter is
+        resolving.  A decider therefore never waits, under the decision
+        lock, on a ticket only a later decider could reach.
         """
         if self._closed:
             raise ServiceError("service is closed")
@@ -387,6 +410,7 @@ class AuthorizationService:
         results: List[Optional[Ticket]] = [None] * len(pairs)
         # shard -> [(ticket, admission_span)] awaiting the phase-2 push.
         to_push: Dict[int, List[tuple]] = {}
+        pushed: List[tuple] = []
         # shard -> arrivals in this call (submitted counting, phase 2).
         arrivals: Dict[int, int] = {}
         breaker_sheds: List[tuple] = []
@@ -460,6 +484,12 @@ class AuthorizationService:
                 self._outstanding += 1
                 results[idx] = ticket
                 to_push.setdefault(shard, []).append((ticket, admission_span))
+            if self.mode == "threaded":
+                pushed = [
+                    self._push_group(shard, group, arrivals.pop(shard))
+                    for shard, group in to_push.items()
+                ]
+                to_push = {}
         for ticket, decision in breaker_sheds:
             root = ticket.trace
             if root is not None:
@@ -469,7 +499,9 @@ class AuthorizationService:
                 self.audit_log.append(decision, trace_id=ticket.trace_id)
             self.tracer.finish(root)
         for shard, group in to_push.items():
-            self._push_group(shard, group, arrivals.pop(shard))
+            pushed.append(self._push_group(shard, group, arrivals.pop(shard)))
+        for push in pushed:
+            self._shed_unpushed(*push)
         # Shards whose arrivals all coalesced or shed at the breaker
         # fast-check still own their submitted counts.
         for shard, count in arrivals.items():
@@ -479,8 +511,12 @@ class AuthorizationService:
 
     def _push_group(
         self, shard: int, group: List[tuple], arrived: int
-    ) -> None:
+    ) -> tuple:
         """Phase 2 of admission: push one shard's tickets (shard lock).
+
+        Returns ``(shard, group, accepted, circuit)`` for
+        :meth:`_shed_unpushed`, which resolves the tickets that did not
+        fit outside every admission lock.
 
         Failover interleaving argument (why per-shard locks stay safe):
         ``CircuitBreaker.record_crash`` sets the breaker open *before*
@@ -493,18 +529,26 @@ class AuthorizationService:
         and the re-check sheds instead of pushing.  A ticket can never
         be pushed into a dead shard's queue after its failover sweep.
         """
-        queue = self._queues[shard]
         with self._shard_admission_locks[shard]:
             self._shard_submitted[shard] += arrived
             if self._breakers[shard].is_open:
                 accepted, circuit = 0, True
             else:
-                accepted = queue.try_push_batch([t for t, _ in group])
+                accepted = self._queues[shard].try_push_batch(
+                    [t for t, _ in group]
+                )
                 circuit = False
         for ticket, admission_span in group[:accepted]:
             if admission_span is not None:
                 admission_span.end(outcome="queued")
                 ticket.queue_span = ticket.trace.child("queue_wait")
+        return shard, group, accepted, circuit
+
+    def _shed_unpushed(
+        self, shard: int, group: List[tuple], accepted: int, circuit: bool
+    ) -> None:
+        """Resolve the tickets :meth:`_push_group` could not queue."""
+        queue = self._queues[shard]
         acct: List[tuple] = []
         try:
             for ticket, admission_span in group[accepted:]:
@@ -572,29 +616,19 @@ class AuthorizationService:
         """Submit and wait: the synchronous convenience path."""
         ticket = self.submit(request, now)
         if self.mode == "manual":
-            self._pump_until(ticket)
+            self.pump()
         return ticket.result()
 
     # -------------------------------------------------------- evaluation
 
-    def _evaluate(self, ticket: Ticket) -> None:
-        """Decide one ticket, isolating per-ticket faults (worker context).
-
-        Any ``Exception`` the decision path raises becomes a typed
-        :class:`Errored` decision — the worker keeps draining, the
-        submitter gets an answer, the trace records the exception class.
-        ``BaseException`` (chaos ``WorkerKilled``, interpreter shutdown)
-        still propagates: that is the worker-crash path the supervisor
-        owns.
-        """
-        try:
-            decision: AuthorizationDecision = self._decide(ticket)
-        except Exception as exc:  # noqa: BLE001 - fault isolation boundary
-            decision = self._errored_decision(ticket, exc)
-        self._complete(ticket, decision)
-
     def _decide(self, ticket: Ticket) -> AuthorizationDecision:
-        """The raising decision path: barrier, epoch pin, derivation."""
+        """The raising decision path: barrier, epoch pin, derivation.
+
+        Any ``Exception`` it raises becomes a typed :class:`Errored`
+        decision in the caller (per-ticket fault isolation).
+        ``BaseException`` (chaos ``WorkerKilled``) propagates: that is
+        the crash path, which burns the shard's restart budget.
+        """
         root: Optional[TraceSpan] = ticket.trace
         predecessor = ticket.predecessor
         if predecessor is not None and not predecessor.done():
@@ -752,56 +786,107 @@ class AuthorizationService:
         finally:
             self._account_batch([(ticket, decision)])
 
-    def _evaluate_batch(
-        self, batch: List[Ticket], worker: Optional[ShardWorker] = None
-    ) -> None:
-        """Worker engine: decide a drained batch, account it in one sweep.
+    def _evaluate_batch(self, batch: List[Ticket]) -> None:
+        """Decide ``batch`` in order; account it in one sweep.
 
-        Per ticket: the chaos loop-top hook (kill_after counts tickets,
-        not wakeups — batch draining must not move where in the stream
-        a kill lands), the decision, and an immediate
-        :meth:`_resolve_ticket`.  The admission-lock accounting for the
-        whole batch is deferred to a single :meth:`_account_batch`
-        flush in the ``finally`` — including on a mid-batch
-        ``WorkerKilled``, so crash accounting is exact.  ``batch`` is
-        consumed in place: after a crash it holds exactly the
-        unresolved suffix for the worker's re-queue path.
+        Per ticket: the chaos loop-top hook (``kill_after`` counts the
+        shard's decisions since its last restart), the decision, and an
+        immediate :meth:`_resolve_ticket`, so a same-nonce successor
+        later in the batch sees its predecessor resolved.  The
+        admission-lock accounting for the whole batch is one
+        :meth:`_account_batch` flush in the ``finally``.
+
+        A ``BaseException`` returns the unresolved rest of the batch,
+        in order, to the heads of its shard queues.  A chaos
+        ``WorkerKilled`` is then a logical restart: the ticket in hand
+        (none at the loop top) resolves as errored and the shard's
+        budget is charged; anything else propagates.
         """
         acct: List[tuple] = []
+        index, in_hand = 0, None
         try:
-            while batch:
-                ticket = batch[0]
-                if worker is not None:
-                    if worker._chaos is not None:
-                        # Raises WorkerKilled with no ticket in hand:
-                        # current_ticket is still clear, so the crash
-                        # path re-queues the whole remaining batch.
-                        worker._chaos.on_worker_loop(
-                            worker.shard, worker.tickets_processed
-                        )
-                    worker.current_ticket = ticket
+            for index, ticket in enumerate(batch):
+                if self.chaos is not None:
+                    self.chaos.on_worker_loop(
+                        ticket.shard, self._decided[ticket.shard]
+                    )
+                in_hand = ticket
                 try:
                     decision: AuthorizationDecision = self._decide(ticket)
                 except Exception as exc:  # noqa: BLE001 - fault isolation
                     decision = self._errored_decision(ticket, exc)
+                in_hand = None
                 try:
                     self._resolve_ticket(ticket, decision)
                 finally:
                     # Even if audit/trace export raised, the event is
                     # set — the ticket must be accounted exactly once.
                     acct.append((ticket, decision))
-                    batch.pop(0)
-                if worker is not None:
-                    worker.current_ticket = None
-                    worker.tickets_processed += 1
+                self._decided[ticket.shard] += 1
+        except BaseException as exc:
+            rest = [
+                t for t in batch[index:]
+                if t is not in_hand and not t.done()
+            ]
+            if not isinstance(exc, WorkerKilled):
+                if in_hand is not None:
+                    rest.insert(0, in_hand)
+                self._requeue(rest)
+                raise
+            self._requeue(rest)
+            shard = batch[index].shard
+            self._decided[shard] = 0
+            self._handle_crash(shard, exc, in_hand)
         finally:
             self._account_batch(acct)
 
-    # ------------------------------------------------------- supervision
+    def _requeue(self, tickets: List[Ticket]) -> None:
+        """Return undecided tickets to their queue heads, in order."""
+        by_shard: Dict[int, List[Ticket]] = {}
+        for ticket in tickets:
+            by_shard.setdefault(ticket.shard, []).append(ticket)
+        for shard, group in by_shard.items():
+            self._queues[shard].push_front_batch(group)
 
-    def _worker_crashed(self, worker: ShardWorker, exc: BaseException) -> None:
-        """Crash report from a dying worker thread (its last act)."""
-        self._handle_crash(worker.shard, exc, worker.current_ticket)
+    def _take_queued(self, limit: Optional[int]) -> List[Ticket]:
+        """Every queued ticket (at most ``limit``), in sequence order.
+
+        Runs under the admission lock, so in threaded mode no push can
+        interleave with the collection (see :meth:`_admit`).
+        """
+        batch: List[Ticket] = []
+        for queue in self._queues:
+            batch.extend(queue.drain_all())
+        batch.sort(key=attrgetter("seq"))
+        if limit is not None and len(batch) > limit:
+            self._requeue(batch[limit:])
+            del batch[limit:]
+        return batch
+
+    def _drain_queues(self, limit: Optional[int] = None) -> int:
+        """Decide queued tickets on this thread, in global sequence order.
+
+        The engine of threaded and manual modes.  One decider at a time
+        holds the decision lock; each round collects whatever is queued
+        and decides it as one batch, until the queues are empty (or
+        ``limit`` tickets were taken).  Deciding in sequence order
+        keeps a same-nonce chain from ever waiting on an undecided
+        ticket.
+        """
+        taken = 0
+        with self._decision_lock:
+            while limit is None or taken < limit:
+                with self._admission_lock:
+                    batch = self._take_queued(
+                        None if limit is None else limit - taken
+                    )
+                if not batch:
+                    break
+                taken += len(batch)
+                self._evaluate_batch(batch)
+        return taken
+
+    # ------------------------------------------------------- supervision
 
     def _handle_crash(
         self,
@@ -809,12 +894,13 @@ class AuthorizationService:
         exc: BaseException,
         ticket: Optional[Ticket],
     ) -> None:
-        """Shared crash path: worker threads, liveness sweep, manual pump.
+        """Shared crash path: worker processes and logical restarts.
 
         Resolves the in-hand ticket (if any) as errored, charges the
         shard's restart budget, and either schedules a replacement
-        worker (threaded), performs a logical restart (manual
-        mode), or trips the breaker and fails the queue over.
+        process (process mode), performs a logical restart (threaded
+        and manual modes), or trips the breaker and fails the queue
+        over.
         """
         error_type = type(exc).__name__
         if ticket is not None and not ticket.done():
@@ -825,7 +911,7 @@ class AuthorizationService:
             self.worker_crashes.inc()
             if self._closed:
                 return
-            if self.mode in _WORKER_MODES and not self._supervise:
+            if self.mode == "process" and not self._supervise:
                 # No supervisor: nothing will restart this shard.  Wake
                 # drain() waiters so they detect the stranded shard
                 # immediately instead of burning their full timeout.
@@ -835,12 +921,12 @@ class AuthorizationService:
         if backoff is None:
             self._trip_breaker(shard)
             return
-        if self.mode in _WORKER_MODES:
+        if self.mode == "process":
             assert self.supervisor is not None
             self.supervisor.schedule_restart(shard, backoff, error_type)
         else:
-            # Manual mode has no thread to replace: the restart is
-            # logical (the pump keeps draining) but burns the same budget.
+            # No process to replace: the restart is logical (the
+            # decider keeps draining) but burns the same budget.
             with self._admission_lock:
                 self.worker_restarts.inc()
 
@@ -881,7 +967,7 @@ class AuthorizationService:
                 ).end()
             self._complete(ticket, decision)
 
-    def _restart_worker(self, shard: int) -> Optional[ShardWorker]:
+    def _restart_worker(self, shard: int):
         """Install a replacement for a crashed worker, or refuse.
 
         Returns the replacement *not yet started*: the supervisor
@@ -903,65 +989,23 @@ class AuthorizationService:
         return worker
 
     def _make_worker(self, shard: int, incarnation: int = 0):
-        """Build (not start) the worker object for ``shard`` (by mode)."""
-        if self.mode == "process":
-            from .procworker import ProcessShardWorker
+        """Build (not start) the worker process for ``shard``."""
+        from .procworker import ProcessShardWorker
 
-            return ProcessShardWorker(
-                self,
-                shard,
-                epoch_id=self.epochs.current.epoch_id,
-                incarnation=incarnation,
-            )
-        return ShardWorker(
+        return ProcessShardWorker(
+            self,
             shard,
-            self._queues[shard],
-            self._evaluate,
-            chaos=self.chaos,
-            on_crash=self._worker_crashed,
             epoch_id=self.epochs.current.epoch_id,
             incarnation=incarnation,
-            evaluate_batch=self._evaluate_batch,
-            max_batch=self.max_batch,
         )
 
     # ------------------------------------------------------ manual pumping
 
-    def _pump_one(self) -> bool:
-        """Evaluate the globally oldest queued ticket, if any.
-
-        Draining in sequence order keeps nonce-predecessor chains from
-        ever waiting on a not-yet-evaluated ticket in manual mode.
-        """
-        best_shard, best_seq = -1, None
-        for shard, queue in enumerate(self._queues):
-            seq = queue.peek_seq()
-            if seq is not None and (best_seq is None or seq < best_seq):
-                best_shard, best_seq = shard, seq
-        if best_seq is None:
-            return False
-        ticket = self._queues[best_shard].pop(timeout=0)
-        assert ticket is not None
-        try:
-            self._evaluate(ticket)
-        except WorkerKilled as exc:
-            # Manual-mode "worker crash": same budget, logical restart.
-            self._handle_crash(best_shard, exc, ticket)
-        return True
-
     def pump(self, max_tickets: Optional[int] = None) -> int:
-        """Drain queued tickets synchronously (``manual`` mode's engine)."""
-        if self.mode in _WORKER_MODES:
+        """Decide queued tickets synchronously (``manual`` mode's engine)."""
+        if self.mode != "manual":
             raise ServiceError(f"pump() is for manual mode, not {self.mode!r}")
-        processed = 0
-        while (max_tickets is None or processed < max_tickets) and self._pump_one():
-            processed += 1
-        return processed
-
-    def _pump_until(self, ticket: Ticket) -> None:
-        while not ticket.done():
-            if not self._pump_one():  # pragma: no cover - defensive
-                raise ServiceError("ticket unresolvable: queues are empty")
+        return self._drain_queues(max_tickets)
 
     # --------------------------------------------------------- lifecycle
 
@@ -977,10 +1021,11 @@ class AuthorizationService:
     def _stranded_reason_locked(self) -> Optional[str]:
         """Why outstanding work can never finish, or None (lock held).
 
-        Only unsupervised threaded services can strand work: a crashed
-        worker with tickets still queued and nothing that will restart
-        it.  Supervised services either restart the worker or fail the
-        queue over, so their drains always terminate.
+        Only unsupervised process-mode services can strand work: a
+        crashed worker with tickets still queued and nothing that will
+        restart it.  Supervised services either restart the worker or
+        fail the queue over, and the other modes restart logically, so
+        their drains always terminate.
         """
         if self._supervise:
             return None
@@ -1003,12 +1048,16 @@ class AuthorizationService:
 
         Raises :class:`ServiceError` *immediately* (not after the
         timeout) when outstanding work is stranded behind a dead,
-        unsupervised worker — the crash handler wakes waiters the
-        moment the worker dies.
+        unsupervised worker process — the crash handler wakes waiters
+        the moment the worker dies.
         """
-        if self.mode not in _WORKER_MODES:
+        if self.mode == "manual":
             self.pump()
             return True
+        if self.mode == "threaded":
+            # Queues are empty between submits; a ticket still counted
+            # outstanding is in another submitter's hands.
+            self._drain_queues()
         deadline = (
             None if timeout is None else time.monotonic() + timeout
         )
@@ -1028,17 +1077,19 @@ class AuthorizationService:
     def close(self, timeout: Optional[float] = 10.0) -> None:
         """Stop accepting work, finish the queues, resolve the stranded.
 
-        The supervisor stops first (no restarts during shutdown), live
-        workers drain their queues and exit, and any ticket left behind
-        by a dead worker is resolved as :class:`Errored` — a caller
-        blocked on ``ticket.result()`` is never stranded by ``close``.
+        Threaded and manual modes decide whatever is still queued.  In
+        process mode the supervisor stops first (no restarts during
+        shutdown), live workers drain their queues and exit, and any
+        ticket left behind by a dead worker is resolved as
+        :class:`Errored` — a caller blocked on ``ticket.result()`` is
+        never stranded by ``close``.
         """
         if self._closed:
             return
         self._closed = True
         try:
-            if self.mode not in _WORKER_MODES:
-                self.pump()
+            if self.mode != "process":
+                self._drain_queues()
                 return
             if self.supervisor is not None:
                 self.supervisor.stop()
@@ -1085,9 +1136,15 @@ class AuthorizationService:
         return [len(queue) for queue in self._queues]
 
     def workers_alive(self) -> int:
-        """Live workers (manual mode: every shard counts)."""
-        if self.mode not in _WORKER_MODES:
-            return self.num_shards
+        """Live workers; without worker processes, shards still deciding.
+
+        In threaded and manual modes a shard counts while the service
+        is open and its breaker is closed.
+        """
+        if self.mode != "process":
+            if self._closed:
+                return 0
+            return self.num_shards - self.breakers_open()
         return sum(
             1
             for worker in self._workers

@@ -3,9 +3,12 @@
 The serving layer's availability story (the paper's m-of-n arguments,
 Shoup-style robustness) assumes the enforcement point itself survives
 internal faults.  This module supplies that: each shard has a
-:class:`CircuitBreaker` tracking its crash history, and threaded-mode
+:class:`CircuitBreaker` tracking its crash history, and process-mode
 services run one :class:`WorkerSupervisor` that replaces crashed
-:class:`~repro.service.sharding.ShardWorker` threads.
+worker processes (:class:`~repro.service.procworker.ProcessShardWorker`).
+Threaded and manual services decide on the caller's thread; a crash
+there (a chaos ``WorkerKilled``) is a logical restart that charges the
+same breaker without replacing anything.
 
 Worker lifecycle (DESIGN.md §11 has the full state machine)::
 
@@ -21,7 +24,7 @@ FAILED, its queued tickets are failed over as typed ``CircuitOpen``
 shed decisions, and admission sheds new requests for that shard
 immediately — unaffected shards keep serving byte-identical results.
 Restarted workers are re-pinned to the epoch current at restart time
-(``ShardWorker.epoch_id``), which health probes report.
+(``ProcessShardWorker.epoch_id``), which health probes report.
 
 The supervisor is event-driven (crash reports arrive via
 ``schedule_restart``) with a periodic liveness sweep as a backstop for

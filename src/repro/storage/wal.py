@@ -40,7 +40,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..coalition.audit import AuditEntry
 from ..crypto.rsa import RSAKeyPair, RSAPrivateKey, RSAPublicKey
@@ -387,6 +387,24 @@ class WriteAheadLog:
 
     def append_epoch(self, record: EpochRecord) -> None:
         self.append(RT_EPOCH, epoch_to_payload(record))
+
+    def read_entries(self) -> List[AuditEntry]:
+        """Every audit entry in the segments, in append order.
+
+        A WAL-bound :class:`~repro.coalition.audit.AuditLog` keeps no
+        entries in memory and reads them back through this.
+        """
+        entries: List[AuditEntry] = []
+        with self._lock:
+            for path in list_segments(self.wal_dir):
+                with open(path, "rb") as handle:
+                    data = handle.read()
+                offset = 0
+                while offset < len(data):
+                    kind, payload, offset = decode_frame_at(data, offset)
+                    if kind == RT_ENTRY:
+                        entries.append(entry_from_payload(payload))
+        return entries
 
     # ---------------------------------------------------------- syncing
 

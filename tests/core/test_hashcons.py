@@ -97,3 +97,55 @@ def test_pickle_drops_only_the_hash_memo():
     assert loaded == formula and hash(loaded) == hash(formula)
     key = KeyRef("k", "K")
     assert pickle.loads(pickle.dumps(key)) == key
+
+
+CERT_BUILD = textwrap.dedent(
+    """
+    from repro.pki.certificates import (
+        IdentityCertificate,
+        ThresholdAttributeCertificate,
+        ValidityPeriod,
+    )
+
+    def build():
+        validity = ValidityPeriod(0, 99)
+        identity = IdentityCertificate(
+            "id-1", "alice", 3233, 17, "CA", "k-CA", 1, validity, 7
+        )
+        threshold = ThresholdAttributeCertificate(
+            "tac-1", (("alice", "k-a"), ("bob", "k-b")), 2, "G_write",
+            "AA", "k-AA", 1, validity, 11,
+        )
+        return identity, threshold
+    """
+)
+
+CERT_DUMP = CERT_BUILD + textwrap.dedent(
+    """
+    import pickle, sys
+    certs = build()
+    for cert in certs:
+        hash(cert)  # fill the memo before pickling
+        assert "_memo___hash__" in cert.__dict__
+        cert.payload_bytes()
+    sys.stdout.buffer.write(pickle.dumps(certs))
+    """
+)
+
+CERT_LOAD = CERT_BUILD + textwrap.dedent(
+    """
+    import pickle, sys
+    loaded = pickle.loads(sys.stdin.buffer.read())
+    for cert, fresh in zip(loaded, build()):
+        assert cert == fresh
+        assert hash(cert) == hash(fresh), "loaded cert kept a foreign hash"
+        assert cert in {fresh: 1}
+        assert cert.payload_bytes() == fresh.payload_bytes()
+    print("ok")
+    """
+)
+
+
+def test_pickled_certificate_hashes_like_a_fresh_one_under_another_seed():
+    pickled = _python(CERT_DUMP, seed=1)
+    assert _python(CERT_LOAD, seed=2, stdin=pickled).strip() == b"ok"

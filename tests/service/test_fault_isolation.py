@@ -1,12 +1,11 @@
 """Per-ticket fault isolation: one poisoned request never kills a shard.
 
 Regression suite for the silent shard-thread death bug: before the
-supervision layer, an exception escaping ``_evaluate`` killed the
-``ShardWorker`` thread, stranding every queued ticket and hanging
-``drain()`` until its timeout.  Now the exception resolves *that*
-ticket as a typed ``Errored`` decision (fail closed, exception class
-recorded, trace annotated, counters bumped) and the worker keeps
-draining.
+supervision layer, an exception escaping evaluation killed the shard's
+worker thread, stranding every queued ticket and hanging ``drain()``
+until its timeout.  Now the exception resolves *that* ticket as a
+typed ``Errored`` decision (fail closed, exception class recorded,
+trace annotated, counters bumped) and the shard keeps deciding.
 """
 
 from repro.coalition import build_joint_request
@@ -42,7 +41,8 @@ class TestFaultIsolation:
     ):
         """The seed-failing regression: a poisoned first ticket used to
         kill the worker, leaving the three behind it queued forever and
-        drain() burning its full timeout."""
+        drain() burning its full timeout.  Threaded submits now return
+        decided tickets, and the fault counts as no crash."""
         ctx, make_service = service_coalition
         service = make_service(mode="threaded", num_shards=2, queue_depth=16)
         users, cert = ctx["users"], ctx["read_cert"]
@@ -51,7 +51,8 @@ class TestFaultIsolation:
             service.submit(_read(users, cert, "ObjectO", 5, f"fi-{i}"), now=5)
             for i in range(4)
         ]
-        assert service.drain(timeout=10), "worker must keep draining"
+        assert all(t.done() for t in tickets), "no ticket is stranded"
+        assert service.drain(timeout=10), "the shard must keep deciding"
         poisoned = tickets[0].result(0)
         assert isinstance(poisoned, Errored)
         assert not poisoned.granted, "errored decisions fail closed"
@@ -59,8 +60,9 @@ class TestFaultIsolation:
         assert poisoned.shard == 0
         assert "poisoned evaluation" in poisoned.reason
         assert all(t.result(0).granted for t in tickets[1:])
-        worker = service._workers[0]
-        assert worker.is_alive() and not worker.crashed
+        health = service.stats()["health"]
+        assert health["worker_crashes"] == 0
+        assert health["workers_alive"] == 2
 
     def test_errored_counted_in_stats_and_metrics(self, service_coalition):
         ctx, make_service = service_coalition

@@ -31,7 +31,9 @@ class TestHealthyService:
         probe = service.health()
         assert probe["liveness"]["live"]
         assert probe["liveness"]["workers_alive"] == 2
-        assert probe["liveness"]["supervisor_alive"]
+        # Decided on the submitting thread: no supervisor to run.
+        assert not probe["liveness"]["supervisor_alive"]
+        assert not probe["supervised"]
         assert probe["readiness"]["ready"]
         assert not probe["readiness"]["degraded"]
         for shard in probe["shards"]:
@@ -82,6 +84,8 @@ class TestFailedShard:
         assert probe["readiness"]["ready_shards"] == 1
         failed = probe["shards"][0]
         assert failed["breaker"] == "open"
+        assert not failed["worker_alive"]
+        assert probe["liveness"]["workers_alive"] == 1
         assert failed["live"] and not failed["ready"]
         assert failed["crashes"] == 2 and failed["restarts"] == 1
 
@@ -127,7 +131,7 @@ class TestHealthSurfaces:
         _, make_service = service_coalition
         service = make_service(mode="threaded", num_shards=2)
         health = service.stats()["health"]
-        assert health["supervised"] == 1
+        assert health["supervised"] == 0  # logical restarts, no supervisor
         assert health["workers_alive"] == 2
         assert health["worker_crashes"] == 0
         assert health["worker_restarts"] == 0

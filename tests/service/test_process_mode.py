@@ -172,6 +172,16 @@ class TestProcessRestartBudget:
         assert all(t.result(0).granted for t in healthy)
         _assert_accounting_identity(service)
 
+        # The supervisor recorded both replacement processes, re-pinned
+        # to the epoch current at restart time, after doubling backoffs.
+        events = service.supervisor.events
+        assert [e.incarnation for e in events] == [1, 2]
+        assert all(e.error_type == "WorkerKilled" for e in events)
+        assert all(
+            e.epoch_id == service.epochs.current.epoch_id for e in events
+        )
+        assert events[1].backoff_s == pytest.approx(0.010)
+
     def test_replay_denied_across_process_restart(self, service_coalition):
         """A replacement child is seeded with the pre-crash ledger.
 

@@ -96,9 +96,9 @@ class TestSpanShapes:
     def test_barrier_wait_span_on_nonce_chain(self, service_coalition):
         """Evaluate a successor before its same-nonce predecessor.
 
-        Manual pumps drain in admission order (the barrier never fires
+        Pumps decide in admission order (the barrier never fires
         there), so pop the successor off its queue and evaluate it on a
-        worker thread: it must open a ``barrier_wait`` span and block
+        second thread: it must open a ``barrier_wait`` span and block
         until the predecessor resolves.
         """
         import threading
@@ -113,9 +113,10 @@ class TestSpanShapes:
         first = service.submit(_read(users, cert, "ObjectO", 5, "tr-b"), now=5)
         second = service.submit(_read(users, cert, "ObjectP", 5, "tr-b"), now=5)
         assert second.predecessor is first
-        popped = service._queues[second.shard].pop(timeout=1)
-        assert popped is second
-        worker = threading.Thread(target=service._evaluate, args=(second,))
+        assert service._queues[second.shard].drain_all() == [second]
+        worker = threading.Thread(
+            target=service._evaluate_batch, args=([second],)
+        )
         worker.start()
         # The barrier span is opened before the blocking wait.
         deadline = _time.perf_counter() + 10

@@ -121,6 +121,25 @@ class TestServiceWal:
         assert len(service2.audit_log) == 5
         service2.close()
 
+    def test_wal_bound_log_keeps_entries_only_in_the_wal(self, tmp_path):
+        wal_dir = str(tmp_path / "wal")
+        service = AuthorizationService(
+            num_shards=2, mode="threaded", wal_dir=wal_dir
+        )
+        coalition, users = _coalition(service)
+        service.register_object(
+            "ObjW", [ACLEntry.of("G_read", ["read"])], admin_group="G_admin"
+        )
+        _run_traffic(service, coalition, users, 12)
+        log = service.audit_log
+        assert log._entries == [] and len(log) == 12
+        live = log.entries()
+        assert live == recover(wal_dir, truncate=False).entries
+        assert [e.sequence for e in live] == list(range(12))
+        log.verify(expected_length=12)
+        service.close()
+        assert log.entries() == live, "a closed WAL still reads back"
+
     def test_threaded_mode_appends_through_audit_lock(self, tmp_path):
         wal_dir = str(tmp_path / "wal")
         service = AuthorizationService(
@@ -136,8 +155,8 @@ class TestServiceWal:
         recovered = recover(wal_dir, truncate=False)
         assert recovered.clean
         assert len(recovered.entries) == 40
-        # Concurrent shard workers appended through one audit lock, so
-        # the on-disk order IS the chain order.
+        # Every append went through one audit lock, so the on-disk
+        # order IS the chain order.
         AuditLog.verify_chain(
             recovered.entries, service.audit_log.public_key
         )
