@@ -18,10 +18,10 @@ a joint access request:
   object's ACL and the certificate validity window.
 
 Steps 1-2 admissions are standing beliefs of the verifier and persist
-in its belief store; Steps 3-4 derive into a request-local
-:class:`~repro.core.store.RequestBeliefs` dropped with the decision.
-Only the message receipts its proof cites are kept, on the decision,
-and the nonce ledger records their digest so that
+in its belief store; Steps 3-4 build their proof steps unstored and
+record only the message receipts they cite, in a request-local
+:class:`~repro.core.store.RequestBeliefs`.  The receipts are kept on
+the decision, and the nonce ledger records their digest so that
 :meth:`AuthorizationProtocol.audit` can tell them from forged ones.
 
 Every decision returns the derivation as a proof tree, so a granted
@@ -66,7 +66,9 @@ DEFAULT_FRESHNESS_WINDOW = 50
 
 def _receipts_digest(receipts: Tuple[Formula, ...]) -> bytes:
     # The dataclass repr spells out every field, so equal digests mean
-    # equal receipts.
+    # equal receipts.  The receipt node classes generate or memoize
+    # that text without the dataclass recursion guard
+    # (repro.core.hashcons.plain_repr).
     return hashlib.sha256(repr(receipts).encode()).digest()
 
 
@@ -617,7 +619,7 @@ class AuthorizationProtocol:
                     f"certificate ({revoked.conclusion})"
                 )
             # Step 3: believe the signed request parts.
-            beliefs = RequestBeliefs(self.engine.store)
+            beliefs = RequestBeliefs()
             says_proofs = []
             for part in request.parts:
                 _says_body, says_signed = self.engine.admit_signed_utterance(

@@ -3,11 +3,11 @@
 A :class:`DerivationEngine` belongs to one verifier (e.g. coalition
 server P).  Its belief store holds the verifier's standing beliefs: the
 initial beliefs (statements 1-11 of Appendix E) and the admission
-chains of certificates and revocations.  A request's signed parts are
-admitted into a ``beliefs`` target, normally a
-:class:`~repro.core.store.RequestBeliefs`, and its group-says
-conclusion is returned unstored, so what one request derives is
-dropped with its decision.  The engine exposes
+chains of certificates and revocations.  A request's signed parts
+record their receipts in a :class:`~repro.core.store.RequestBeliefs`;
+their A10/A19 steps and the group-says conclusion are returned
+unstored, so what one request derives is dropped with its decision.
+The engine exposes
 exactly the inference moves the authorization protocol needs; every
 conclusion carries a proof tree citing the paper's axioms by name.
 
@@ -26,7 +26,7 @@ The three workhorse moves are:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import MetricsRegistry
 from . import axioms
@@ -58,11 +58,6 @@ from .terms import (
 )
 
 __all__ = ["DerivationEngine", "DerivationError"]
-
-# Where a derivation step is recorded: the standing store, or one
-# request's beliefs layered over it.
-Beliefs = Union[BeliefStore, RequestBeliefs]
-
 
 class DerivationError(Exception):
     """A required derivation could not be completed.
@@ -158,7 +153,10 @@ class DerivationEngine:
     # --------------------------------------------------------- reception
 
     def receive(
-        self, message: Message, at_time: int, beliefs: Optional[Beliefs] = None
+        self,
+        message: Message,
+        at_time: int,
+        beliefs: Optional[RequestBeliefs] = None,
     ) -> ProofStep:
         """Record receipt of a message at the verifier's local time."""
         formula = Received(self.owner, Temporal.point(at_time, self.owner), message)
@@ -170,36 +168,29 @@ class DerivationEngine:
     def find_key_binding(
         self, key: KeyRef, at_time: int
     ) -> Tuple[KeySpeaksFor, ProofStep]:
-        """A believed ``K => S`` covering ``at_time``.
+        """The first believed ``K => S`` covering ``at_time``, unrevoked.
+
+        The candidate bindings and the times their revocations take
+        effect come from :meth:`BeliefStore.key_bindings`, memoized per
+        key until the store next admits a binding or a revocation of
+        one; whether a binding covers ``at_time`` and is revoked by then
+        is decided here on every call.  Believe-until-revoked, as with
+        memberships: a binding stated at or after a revocation's time
+        (a re-issued identity certificate) supersedes it.
 
         Raises DerivationError when the verifier has no (unrevoked)
         binding for the key.
         """
-        schema = KeySpeaksFor(key=key, time=AnyTime("t"), subject=Var("subject"))
-        for formula, _bindings, proof in self.store.query(schema):
-            if not formula.time.covers(at_time):
+        for binding, proof, revoked_at in self.store.key_bindings(key):
+            valid = binding.time
+            if not valid.covers(at_time):
                 continue
-            if self._binding_revoked(formula, at_time):
+            if any(valid.lo < r <= at_time for r in revoked_at):
                 continue
-            return formula, proof
+            return binding, proof
         raise DerivationError(
             f"{self.owner} holds no key binding for {key} valid at {at_time}"
         )
-
-    def _binding_revoked(self, binding: KeySpeaksFor, at_time: int) -> bool:
-        """Believe-until-revoked check for key bindings.
-
-        As with memberships, a binding stated at/after the revocation
-        time (a re-issued identity certificate) supersedes it.
-        """
-        schema = KeySpeaksFor(
-            key=binding.key, time=AnyTime("t"), subject=binding.subject
-        )
-        for negation, _proof in self.store.negations_of(schema):
-            revoked_at = negation.body.time.lo
-            if revoked_at <= at_time and binding.time.lo < revoked_at:
-                return True
-        return False
 
     # ------------------------------------------------- signed admissions
 
@@ -207,14 +198,18 @@ class DerivationEngine:
         self,
         signed: Signed,
         received_at: int,
-        beliefs: Optional[Beliefs] = None,
+        beliefs: Optional[RequestBeliefs] = None,
     ) -> Tuple[ProofStep, ProofStep]:
         """A10 + A19 on a received signed message.
 
         Returns proofs of ``Q says_{t} X`` and ``Q says_{t} <X>_{K^-1}``
         where Q is the believed owner of the signing key (after alias
-        rewriting for shared keys).  The receipt and the four derived
-        steps are recorded in ``beliefs`` (default: the standing store).
+        rewriting for shared keys).  With no ``beliefs`` (a certificate
+        admission) the receipt and the four derived steps become
+        standing beliefs, which later jurisdiction steps look up.  A
+        request part passes its :class:`RequestBeliefs`: only the
+        receipt is recorded there, and the four steps are built directly
+        into the returned proofs, since no query ever reads them.
         """
         target = self.store if beliefs is None else beliefs
         received_proof = self.receive(signed, received_at, target)
@@ -229,20 +224,23 @@ class DerivationEngine:
         said_body, said_signed = self._rewrite_alias(said_body), self._rewrite_alias(
             said_signed
         )
-        said_body_proof = target.add(
-            ProofStep(said_body, "A10", (binding_proof, received_proof))
+        premises = (binding_proof, received_proof)
+        said_body_proof = ProofStep(said_body, "A10", premises)
+        said_signed_proof = ProofStep(said_signed, "A10", premises)
+        if beliefs is None:
+            said_body_proof = self.store.add(said_body_proof)
+            said_signed_proof = self.store.add(said_signed_proof)
+        says_body_proof = ProofStep(
+            axioms.a19_said_to_says(said_body, received_at), "A19", (said_body_proof,)
         )
-        said_signed_proof = target.add(
-            ProofStep(said_signed, "A10", (binding_proof, received_proof))
+        says_signed_proof = ProofStep(
+            axioms.a19_said_to_says(said_signed, received_at),
+            "A19",
+            (said_signed_proof,),
         )
-        says_body = axioms.a19_said_to_says(said_body, received_at)
-        says_signed = axioms.a19_said_to_says(said_signed, received_at)
-        says_body_proof = target.add(
-            ProofStep(says_body, "A19", (said_body_proof,))
-        )
-        says_signed_proof = target.add(
-            ProofStep(says_signed, "A19", (said_signed_proof,))
-        )
+        if beliefs is None:
+            says_body_proof = self.store.add(says_body_proof)
+            says_signed_proof = self.store.add(says_signed_proof)
         return says_body_proof, says_signed_proof
 
     def _rewrite_alias(self, formula: Said) -> Said:

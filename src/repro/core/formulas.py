@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .hashcons import cached_hash
+from .hashcons import cached_hash, plain_repr
 from .messages import Message
 from .temporal import Temporal
 from .terms import Group, KeyRef, Subject, Var
@@ -73,6 +73,7 @@ class Controls(Formula):
 
 
 @cached_hash
+@plain_repr
 @dataclass(frozen=True)
 class Says(Formula):
     """``P says_t X`` (F6/F7): an utterance at its origination time."""
@@ -99,6 +100,7 @@ class Said(Formula):
 
 
 @cached_hash
+@plain_repr
 @dataclass(frozen=True)
 class Received(Formula):
     """``P received_t X`` (F6/F7)."""

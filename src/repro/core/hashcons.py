@@ -26,14 +26,19 @@ generates from the fields alone.
 (principals, groups, key references, point times) so hot paths that
 rebuild the same leaves per request share one instance — equality
 checks then short-circuit on identity.
+
+:func:`plain_repr` and :func:`memoized_repr` give a class the text of
+its dataclass-generated ``__repr__`` at a lower cost: the authorization
+protocol digests ``repr`` of every grant's message receipts.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from functools import lru_cache, wraps
 from typing import Callable, Type, TypeVar
 
-__all__ = ["cached_hash", "memoized", "interned"]
+__all__ = ["cached_hash", "memoized", "interned", "plain_repr", "memoized_repr"]
 
 T = TypeVar("T")
 
@@ -95,3 +100,36 @@ def interned(constructor: Callable[..., T], maxsize: int = 65536) -> Callable[..
     fully determine the node (true for all our frozen AST classes).
     """
     return lru_cache(maxsize=maxsize)(constructor)
+
+
+def plain_repr(cls: Type[T]) -> Type[T]:
+    """Class decorator: the dataclass ``__repr__`` text, without its guard.
+
+    Apply *after* ``@dataclass``.  The generated method is the one
+    :mod:`dataclasses` writes, ``Name(field=value!r, ...)`` over the
+    ``repr=True`` fields, minus the ``reprlib.recursive_repr`` wrapper,
+    which guards against cycles an immutable tree cannot have and
+    costs more than the formatting itself.
+    """
+    body = ", ".join(f"{f.name}={{self.{f.name}!r}}" for f in fields(cls) if f.repr)
+    namespace: dict = {}
+    exec(  # the same code generation dataclasses uses
+        f"def __repr__(self):\n"
+        f"    return f'{{self.__class__.__qualname__}}({body})'",
+        namespace,
+    )
+    method = namespace["__repr__"]
+    method.__qualname__ = f"{cls.__qualname__}.__repr__"
+    cls.__repr__ = method  # type: ignore[assignment]
+    return cls
+
+
+def memoized_repr(cls: Type[T]) -> Type[T]:
+    """:func:`plain_repr`, computed once per instance.
+
+    For interned leaves (principals, key references) that appear in
+    every receipt: the text is a function of the fields, like a hash.
+    """
+    plain_repr(cls)
+    cls.__repr__ = memoized(cls.__repr__)  # type: ignore[assignment]
+    return cls

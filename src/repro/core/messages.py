@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple, Union
 
-from .hashcons import cached_hash
+from .hashcons import cached_hash, plain_repr
 from .terms import KeyRef
 
 __all__ = ["Data", "Signed", "Encrypted", "MessageTuple", "Message", "submessages"]
 
 
 @cached_hash
+@plain_repr
 @dataclass(frozen=True)
 class Data:
     """An uninterpreted data constant, e.g. '"write" O' or a nonce."""
@@ -30,6 +31,7 @@ class Data:
 
 
 @cached_hash
+@plain_repr
 @dataclass(frozen=True)
 class Signed:
     """``<X>_{K^-1}``: message X signed with the private half of key K."""

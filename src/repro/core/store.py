@@ -2,12 +2,13 @@
 
 Holds the principal's standing beliefs, each paired with the proof step
 that produced it: the initial beliefs (statements 1-11 of Appendix E)
-and the admission chains of certificates and revocations.  What one
-request derives lives in a :class:`RequestBeliefs` that reads through
-to the store and is dropped with the decision.  Supports pattern
-queries (used to find jurisdiction schemas and key bindings) and
+and the admission chains of certificates and revocations.  The message
+receipts one request records live in a :class:`RequestBeliefs`, which
+is dropped with the decision.  Supports
+pattern queries (used to find jurisdiction schemas and key bindings),
 negative-belief tracking for revocation ("believe until revoked",
-Section 4.3).
+Section 4.3) and a per-key memo of the key bindings and their
+revocations (:meth:`BeliefStore.key_bindings`).
 
 Queries are served from a **discrimination index** rather than a linear
 scan: every belief is bucketed by its head constructor (``KeySpeaksFor``,
@@ -48,7 +49,7 @@ from .formulas import (
 )
 from .patterns import AnyTime, AnyTimeFrom, Bindings, match
 from .proofs import ProofStep
-from .terms import is_ground
+from .terms import KeyRef, Var, is_ground
 
 __all__ = ["BeliefStore", "RequestBeliefs"]
 
@@ -73,7 +74,15 @@ _WILDCARD = "*"
 
 _REVOCATION_HEAD = ("Not", SpeaksForGroup)
 
+# The heads whose adds can change what :meth:`BeliefStore.key_bindings`
+# finds: key bindings and their revocations.
+_KEY_BINDING_HEADS = (KeySpeaksFor, ("Not", KeySpeaksFor))
+
 _Entry = Tuple[int, Formula, ProofStep]
+
+# A believed binding, its proof, and the effective times of the
+# revocations of that binding.
+KeyBinding = Tuple[KeySpeaksFor, ProofStep, Tuple[int, ...]]
 
 
 def _revoked_pair(membership: SpeaksForGroup) -> Optional[Tuple[object, object]]:
@@ -154,6 +163,9 @@ class BeliefStore:
         # copied here since the last fork.  Any other bucket may be
         # shared with a fork and is copied before its first append.
         self._owned: Set[Tuple[object, object]] = set()
+        # key -> what key_bindings(key) found; emptied by any add to a
+        # key-binding head.  Values are tuples, so a fork copies the map.
+        self._key_bindings: Dict[KeyRef, Tuple[KeyBinding, ...]] = {}
         # Observability counters, surfaced via DerivationEngine.stats()
         # and the unified registry (repro.obs.metrics).
         self.metrics = MetricsRegistry("store")
@@ -198,6 +210,8 @@ class BeliefStore:
             self._owned.add(key)
         bucket.append((self._next_seq, formula, proof))
         self._next_seq += 1
+        if head in _KEY_BINDING_HEADS:
+            self._key_bindings.clear()
         return proof
 
     def add_premise(self, formula: Formula, note: str = "") -> ProofStep:
@@ -277,6 +291,40 @@ class BeliefStore:
                 results.append((formula, proof))
         return results
 
+    def key_bindings(self, key: KeyRef) -> Tuple[KeyBinding, ...]:
+        """Every believed ``key => S``, in insertion order, with the
+        effective times of the believed revocations ``not(key => S)``.
+
+        Memoized per key: the set changes only when a binding or a
+        revocation of one is added, and :meth:`add` then empties the
+        memo.  What a binding covers and whether a revocation defeats
+        it at a given time is left to the caller
+        (:meth:`~repro.core.derivation.DerivationEngine.find_key_binding`),
+        which asks it on every request.  A memo hit counts the bindings
+        it hands back as candidates examined.
+        """
+        found = self._key_bindings.get(key)
+        if found is not None:
+            self._stat_candidates.inc(len(found))
+            return found
+        found = tuple(
+            (
+                binding,
+                proof,
+                tuple(
+                    negation.body.time.lo
+                    for negation, _proof in self.negations_of(
+                        KeySpeaksFor(key, AnyTime("t"), binding.subject)
+                    )
+                ),
+            )
+            for binding, _bindings, proof in self.query(
+                KeySpeaksFor(key, AnyTime("t"), Var("subject"))
+            )
+        )
+        self._key_bindings[key] = found
+        return found
+
     def snapshot(self) -> List[Formula]:
         """The current belief set (insertion order), for tests and audit."""
         return list(self._beliefs)
@@ -310,6 +358,7 @@ class BeliefStore:
             head: dict(by_secondary) for head, by_secondary in self._index.items()
         }
         clone._next_seq = self._next_seq
+        clone._key_bindings = dict(self._key_bindings)
         clone.metrics = self.metrics.fork()
         clone._bind_metrics()
         clone._owned = set()
@@ -340,37 +389,33 @@ class BeliefStore:
 
 
 class RequestBeliefs:
-    """Beliefs derived while deciding one request, dropped with it.
+    """The message receipts one request records, dropped with its decision.
 
-    The receipt, said/says pairs and group-says conclusion of Steps 3-4
-    are never read by a later query, so they are kept here rather than
-    in the standing :class:`BeliefStore`.  Lookups read through to the
-    standing store and :meth:`add` keeps the first proof of a formula
-    across both, as the store itself does.
+    Step 3 admits each signed request part against the standing
+    :class:`BeliefStore` but records only the part's receipt here: the
+    A10/A19 steps it derives go straight into the returned proofs
+    (:meth:`~repro.core.derivation.DerivationEngine.admit_signed_utterance`),
+    because the receipts are all that :meth:`premises` and audits read.
+
+    A receipt keeps its first proof within the request, so two
+    identical parts cite one receipt.  It is never a standing belief:
+    the store's receipts are of certificates, whose signed bodies are
+    formulas, while a request part signs a data constant.  So receipts
+    are told apart by equality alone, without hashing the freshly built
+    formula or looking it up in the store.
     """
 
-    def __init__(self, standing: BeliefStore) -> None:
-        self.standing = standing
-        self._local: Dict[Formula, ProofStep] = {}
-
-    def proof_of(self, formula: Formula) -> Optional[ProofStep]:
-        proof = self._local.get(formula)
-        return proof if proof is not None else self.standing.proof_of(formula)
-
-    def add(self, proof: ProofStep) -> ProofStep:
-        existing = self.proof_of(proof.conclusion)
-        if existing is not None:
-            return existing
-        self._local[proof.conclusion] = proof
-        return proof
+    def __init__(self) -> None:
+        self._receipts: List[ProofStep] = []
 
     def add_premise(self, formula: Formula, note: str = "") -> ProofStep:
-        return self.add(ProofStep(conclusion=formula, rule="premise", note=note))
+        for proof in self._receipts:
+            if proof.conclusion == formula:
+                return proof
+        proof = ProofStep(conclusion=formula, rule="premise", note=note)
+        self._receipts.append(proof)
+        return proof
 
     def premises(self) -> Tuple[Formula, ...]:
         """The premises this request recorded: its message receipts."""
-        return tuple(
-            formula
-            for formula, proof in self._local.items()
-            if proof.rule == "premise"
-        )
+        return tuple(proof.conclusion for proof in self._receipts)

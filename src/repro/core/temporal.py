@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .hashcons import cached_hash
+from .hashcons import cached_hash, plain_repr
 
 __all__ = [
     "TemporalKind",
@@ -49,6 +49,7 @@ class TemporalKind(str, Enum):
 
 
 @cached_hash
+@plain_repr
 @dataclass(frozen=True)
 class Temporal:
     """A temporal subscript: kind, bounds, and an optional clock owner.

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Tuple, Union
 
-from .hashcons import cached_hash, interned
+from .hashcons import cached_hash, interned, memoized_repr
 
 __all__ = [
     "Principal",
@@ -42,6 +42,7 @@ __all__ = [
 
 
 @cached_hash
+@memoized_repr
 @dataclass(frozen=True, order=True)
 class Principal:
     """A simple system principal: user, domain, server, CA, AA or RA."""
@@ -57,6 +58,7 @@ class Principal:
 
 
 @cached_hash
+@memoized_repr
 @dataclass(frozen=True, order=True)
 class KeyRef:
     """A reference to a public key, identified by its fingerprint.

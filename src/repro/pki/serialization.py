@@ -13,6 +13,10 @@ from typing import Any, Dict
 
 __all__ = ["canonical_bytes"]
 
+# What ``json.dumps(value, sort_keys=True, separators=(",", ":"))``
+# builds on every call; encoding keeps no state between calls.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def _normalize(value: Any) -> Any:
     """Reduce a payload value to JSON-safe, deterministic primitives."""
@@ -35,9 +39,27 @@ def _normalize(value: Any) -> Any:
     raise TypeError(f"cannot canonicalize {type(value).__name__}")
 
 
+def _is_flat(payload: Dict[str, Any]) -> bool:
+    """Whether ``_normalize`` would return ``payload`` unchanged.
+
+    True for a dict of ``str`` keys whose values are all exactly
+    ``str`` or ``int`` below ``2**53`` in magnitude (a signed request
+    part, for one); sorting is then left to ``json.dumps``.
+    """
+    for key, value in payload.items():
+        if type(key) is not str:
+            return False
+        kind = type(value)
+        if kind is int:
+            if abs(value) >= 2**53:
+                return False
+        elif kind is not str:
+            return False
+    return True
+
+
 def canonical_bytes(payload: Dict[str, Any]) -> bytes:
     """Deterministic byte encoding of a certificate payload dict."""
-    normalized = _normalize(payload)
-    return json.dumps(
-        normalized, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    flat = type(payload) is dict and _is_flat(payload)
+    normalized = payload if flat else _normalize(payload)
+    return _ENCODER.encode(normalized).encode("utf-8")

@@ -39,7 +39,7 @@ import socket
 import struct
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..coalition.domain import User
 from ..coalition.protocol import AuthorizationDecision
@@ -257,6 +257,10 @@ def request_to_dict(request: JointAccessRequest) -> Dict[str, Any]:
 INTERN_CAPACITY = 1024
 _interned: Dict[Certificate, Certificate] = {}
 _intern_lock = threading.Lock()
+# The encodings of interned certificates, keyed by their signature
+# string, each with its shape (``_shape``): a repeated document is
+# found here without being decoded.
+_documents: Dict[str, Tuple[Dict[str, Any], tuple, Certificate]] = {}
 
 
 def _intern(cert: Certificate) -> Certificate:
@@ -267,6 +271,62 @@ def _intern(cert: Certificate) -> Certificate:
                 del _interned[next(iter(_interned))]
             _interned[cert] = shared = cert
     return shared
+
+
+def _shape(doc: Any) -> Any:
+    """The type of every leaf of a JSON document, nested as the document.
+
+    A container becomes a tuple of ``(key or index, shape)`` pairs, a
+    leaf its type.
+    """
+    if type(doc) is dict:
+        return tuple((key, _shape(value)) for key, value in doc.items())
+    if type(doc) is list:
+        return tuple(enumerate(map(_shape, doc)))
+    return type(doc)
+
+
+def _has_shape(doc: Any, shape: tuple) -> bool:
+    """Whether the leaves of ``doc`` have the types ``shape`` records.
+
+    ``doc`` must already equal the document ``shape`` was taken from,
+    so every key and index exists.
+    """
+    for key, kind in shape:
+        value = doc[key]
+        if type(kind) is tuple:
+            if not _has_shape(value, kind):
+                return False
+        elif type(value) is not kind:
+            return False
+    return True
+
+
+def _decode_certificate(doc: Any) -> Certificate:
+    """The interned certificate a document encodes.
+
+    A document equal, type for type, to the encoding of a certificate
+    decoded before returns that certificate without decoding; any
+    other runs the typed decoder, and the encoding of what it decodes
+    is remembered by its signature string.  Plain ``==`` has
+    ``1.0 == 1`` and ``True == 1``, so after ``==`` (which fixes the
+    keys and lengths) the type of every leaf is compared too.
+    """
+    signature = doc.get("signature") if type(doc) is dict else None
+    known = _documents.get(signature) if type(signature) is str else None
+    if known is not None:
+        known_doc, shape, cert = known
+        if doc == known_doc and _has_shape(doc, shape):
+            return cert
+    cert = _intern(certificate_from_dict(doc))
+    known_doc = certificate_to_dict(cert)
+    with _intern_lock:
+        if len(_documents) >= INTERN_CAPACITY:
+            del _documents[next(iter(_documents))]
+        _documents[known_doc["signature"]] = (
+            known_doc, _shape(known_doc), cert
+        )
+    return cert
 
 
 def _require(doc: Dict[str, Any], key: str, types) -> Any:
@@ -286,8 +346,9 @@ def request_from_dict(doc: Any) -> JointAccessRequest:
     Every malformation — missing keys, wrong types, undecodable
     certificates, wrong certificate kinds — raises
     ``ProtocolError("bad-request", …)``; the edge answers those with a
-    400-style frame and keeps the connection.  Certificates equal to
-    one decoded before come back as that same object (``_intern``).
+    400-style frame and keeps the connection.  A certificate document
+    equal to one decoded before comes back as that certificate object
+    without being decoded again (``_decode_certificate``).
     """
     if not isinstance(doc, dict):
         raise ProtocolError(
@@ -324,15 +385,15 @@ def request_from_dict(doc: Any) -> JointAccessRequest:
             )
         identity_certificates = []
         for cert_doc in idents_doc:
-            cert = certificate_from_dict(cert_doc)
+            cert = _decode_certificate(cert_doc)
             if not isinstance(cert, IdentityCertificate):
                 raise ProtocolError(
                     "bad-request",
                     f"identity_certificates holds a "
                     f"{type(cert).__name__}",
                 )
-            identity_certificates.append(_intern(cert))
-        attribute = certificate_from_dict(doc.get("attribute_certificate"))
+            identity_certificates.append(cert)
+        attribute = _decode_certificate(doc.get("attribute_certificate"))
         if not isinstance(attribute, ThresholdAttributeCertificate):
             raise ProtocolError(
                 "bad-request",
@@ -346,7 +407,7 @@ def request_from_dict(doc: Any) -> JointAccessRequest:
             object_name=_require(doc, "object", str),
             requestor=_require(doc, "requestor", str),
             identity_certificates=identity_certificates,
-            attribute_certificate=_intern(attribute),
+            attribute_certificate=attribute,
             parts=parts,
             degraded=degraded,
         )

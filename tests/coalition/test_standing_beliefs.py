@@ -165,7 +165,7 @@ class TestAuditTrustsOwnReceipts:
         server, users, cert, (first, _second) = two_grants
         engine = server.protocol.engine
         unsent = _read(users, cert, "never-sent", now=7)
-        beliefs = RequestBeliefs(engine.store)
+        beliefs = RequestBeliefs()
         _body, says = engine.admit_signed_utterance(
             unsent.parts[0].idealize(), 7, beliefs
         )

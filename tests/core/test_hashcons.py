@@ -1,4 +1,5 @@
-"""Memoized structural hashes do not travel inside pickles.
+"""Memoized structural hashes do not travel inside pickles; memoized
+and generated ``repr`` texts equal the dataclass-generated ones.
 
 A string's hash depends on ``PYTHONHASHSEED``, so a hash memo carried
 from one process into another disagrees with the hash of an equal node
@@ -7,13 +8,17 @@ Process-mode shard workers receive their epochs by pickle, so this is
 checked across two interpreters started with different seeds.
 """
 
+import dataclasses
 import os
 import pickle
 import subprocess
 import sys
 import textwrap
 
+import pytest
+
 import repro
+from repro.core import formulas, messages, temporal, terms
 from repro.core.formulas import Not, SpeaksForGroup
 from repro.core.temporal import Temporal
 from repro.core.terms import CompoundPrincipal, Group, KeyRef, Principal
@@ -149,3 +154,71 @@ CERT_LOAD = CERT_BUILD + textwrap.dedent(
 def test_pickled_certificate_hashes_like_a_fresh_one_under_another_seed():
     pickled = _python(CERT_DUMP, seed=1)
     assert _python(CERT_LOAD, seed=2, stdin=pickled).strip() == b"ok"
+
+
+def _ast_classes():
+    for module in (formulas, messages, terms, temporal):
+        for value in vars(module).values():
+            if (
+                isinstance(value, type)
+                and dataclasses.is_dataclass(value)
+                and value.__module__ == module.__name__
+            ):
+                yield value
+
+
+def _sample(cls):
+    """An instance of ``cls`` with a distinct value in every field."""
+    leaves = {
+        "Principal": lambda: terms.Principal("P"),
+        "KeyRef": lambda: terms.KeyRef("k-1", "K_1"),
+        "Temporal": lambda: temporal.Temporal.all(2, 9, terms.Principal("P")),
+    }
+    if cls.__name__ in leaves:
+        return leaves[cls.__name__]()
+    if cls is terms.CompoundPrincipal:
+        return terms.CompoundPrincipal.of([terms.Principal("A"), terms.Principal("B")])
+    if cls is terms.ThresholdPrincipal:
+        return _sample(terms.CompoundPrincipal).threshold(1)
+    values = []
+    for field in dataclasses.fields(cls):
+        hint = str(field.type)
+        if field.name in ("key",):
+            values.append(_sample(terms.KeyRef))
+        elif "Temporal" in hint:
+            values.append(_sample(temporal.Temporal))
+        elif hint == "int" or field.name in ("left", "right", "m"):
+            values.append(3)
+        elif hint == "str":
+            values.append("it's \"quoted\"")
+        elif field.name == "parts":
+            values.append((messages.Data("a"), messages.Data("b")))
+        elif field.name == "principal":
+            values.append(_sample(terms.Principal))
+        elif field.name == "compound":
+            values.append(_sample(terms.CompoundPrincipal))
+        else:
+            values.append(messages.Data(f"{cls.__name__}.{field.name}"))
+    return cls(*values)
+
+
+def _dataclass_repr(value):
+    """``repr`` as :mod:`dataclasses` generates it, from a twin class."""
+    cls = type(value)
+    twin = dataclasses.make_dataclass(
+        cls.__name__,
+        [
+            (f.name, object, dataclasses.field(repr=f.repr))
+            for f in dataclasses.fields(cls)
+        ],
+    )
+    twin.__qualname__ = cls.__qualname__
+    return repr(twin(*(getattr(value, f.name) for f in dataclasses.fields(cls))))
+
+
+@pytest.mark.parametrize("cls", list(_ast_classes()), ids=lambda c: c.__name__)
+def test_repr_equals_the_dataclass_generated_text(cls):
+    value = _sample(cls)
+    assert repr(value) == _dataclass_repr(value)
+    assert repr(value) == repr(value)  # a memoized text reads back equal
+

@@ -3,7 +3,7 @@
 from repro.core.formulas import KeySpeaksFor, Not, SpeaksForGroup
 from repro.core.patterns import AnyTime
 from repro.core.proofs import ProofStep
-from repro.core.store import BeliefStore
+from repro.core.store import BeliefStore, RequestBeliefs
 from repro.core.temporal import at, during
 from repro.core.terms import Group, KeyRef, Principal, Var
 
@@ -87,3 +87,13 @@ class TestNegations:
         other = SpeaksForGroup(Principal("Q"), during(0, 5), G)
         store.add_premise(Not(other))
         assert store.negations_of(SpeaksForGroup(P, AnyTime(), G)) == []
+
+
+class TestRequestBeliefs:
+    def test_identical_receipt_keeps_its_first_proof(self):
+        beliefs = RequestBeliefs()
+        first = beliefs.add_premise(_membership(), note="first")
+        again = beliefs.add_premise(_membership(), note="again")
+        other = beliefs.add_premise(_membership(during(0, 11)))
+        assert again is first and other is not first
+        assert beliefs.premises() == (_membership(), _membership(during(0, 11)))

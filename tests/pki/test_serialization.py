@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pki.serialization import canonical_bytes
+import json
+
+from repro.pki.serialization import _normalize, canonical_bytes
 
 
 class TestCanonicalBytes:
@@ -55,3 +57,43 @@ class TestCanonicalBytes:
     @settings(max_examples=40)
     def test_roundtrip_stability(self, payload):
         assert canonical_bytes(payload) == canonical_bytes(dict(payload))
+
+
+def _slow_path(payload):
+    """The encoding every payload got before flat payloads skipped _normalize."""
+    return json.dumps(
+        _normalize(payload), sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
+
+
+class TestFlatPayloadFastPath:
+    """Flat payloads skip ``_normalize`` and must encode to the same bytes."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"type": "request-part", "user": "User_D1", "stated_at": 7, "nonce": "n"},
+            {"z": "Zoë", "a": "日本", "m": "\u00e9 \\ \" \n \t \x00 \x7f"},
+            {"big": 2**53 - 1, "neg": -(2**53) + 1, "zero": 0},
+            {"edge": 2**53, "s": "x"},  # not flat: hex-encoded
+            {"b": True, "s": "x"},  # bool is not an int here
+            {"f": None, "s": "x"},
+            {},
+        ],
+    )
+    def test_same_bytes_as_the_slow_path(self, payload):
+        assert canonical_bytes(payload) == _slow_path(payload)
+
+    @given(
+        st.dictionaries(
+            st.text(max_size=8),
+            st.one_of(
+                st.integers(-(2**60), 2**60),
+                st.text(max_size=16),
+            ),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=80)
+    def test_same_bytes_for_generated_flat_payloads(self, payload):
+        assert canonical_bytes(payload) == _slow_path(payload)

@@ -287,6 +287,81 @@ class TestCertificateInterning:
             assert all(seen[t][i] is seen[0][i] for t in range(threads))
 
 
+class TestWarmInternTable:
+    """A document matches an interned certificate only type for type.
+
+    ``request_from_dict`` finds a repeated certificate document by its
+    signature and compares it with the interned one instead of decoding
+    it; plain ``==`` would let ``1.0`` or ``True`` stand for ``1``.
+    """
+
+    @pytest.fixture()
+    def warm(self, service_coalition):
+        ctx, _ = service_coalition
+        request = build_joint_request(
+            ctx["users"][0], [ctx["users"][1]], "write", "ObjectO",
+            ctx["write_cert"], now=5, nonce="warm-1",
+        )
+        doc = json.loads(json.dumps(request_to_dict(request)))
+        genuine = request_from_dict(copy.deepcopy(doc))
+        return doc, genuine
+
+    @pytest.mark.parametrize(
+        "where, path, value",
+        [
+            ("attribute", ("threshold",), 2.0),
+            ("attribute", ("timestamp",), False),
+            ("attribute", ("validity", "begin"), False),
+            ("attribute", ("validity", "end"), float(10**9)),
+            ("identity", ("subject_key_exponent",), 65537.0),
+            ("identity", ("timestamp",), False),
+            ("identity", ("validity", "begin"), 0.0),
+        ],
+    )
+    def test_loose_type_is_still_a_bad_request(self, warm, where, path, value):
+        doc, genuine = warm
+        cert_doc = (
+            doc["attribute_certificate"]
+            if where == "attribute"
+            else doc["identity_certificates"][0]
+        )
+        *parents, leaf = path
+        target = cert_doc
+        for key in parents:
+            target = target[key]
+        assert target[leaf] == value  # equal by ==, wrong by type
+        target[leaf] = value
+        with pytest.raises(ProtocolError) as exc:
+            request_from_dict(doc)
+        assert exc.value.code == "bad-request"
+
+    def test_nested_difference_is_not_the_interned_object(self, warm):
+        doc, genuine = warm
+        changed = copy.deepcopy(doc)
+        changed["attribute_certificate"]["validity"]["end"] -= 1
+        changed["attribute_certificate"]["subjects"][0][1] = "not-the-key"
+        decoded = request_from_dict(changed).attribute_certificate
+        assert decoded is not genuine.attribute_certificate
+        assert decoded.validity.end == genuine.attribute_certificate.validity.end - 1
+        assert decoded.subjects[0][1] == "not-the-key"
+        identity = copy.deepcopy(doc)
+        identity["identity_certificates"][1]["validity"]["end"] += 1
+        got = request_from_dict(identity).identity_certificates
+        assert got[0] is genuine.identity_certificates[0]
+        assert got[1] is not genuine.identity_certificates[1]
+        # The genuine document still finds the interned object.
+        again = request_from_dict(copy.deepcopy(doc))
+        assert again.attribute_certificate is genuine.attribute_certificate
+
+    def test_tables_stay_within_capacity(self, warm):
+        doc, _genuine = warm
+        for i in range(wire.INTERN_CAPACITY + 10):
+            doc["attribute_certificate"]["signature"] = hex(i + 1)
+            request_from_dict(doc)
+            assert len(wire._interned) <= wire.INTERN_CAPACITY
+            assert len(wire._documents) <= wire.INTERN_CAPACITY
+
+
 @pytest.fixture()
 def live_edge(service_coalition):
     """A threaded service behind a real listening edge."""
