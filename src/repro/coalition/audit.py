@@ -19,11 +19,10 @@ in the WAL and are read back from there.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import threading
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Mapping, Optional
 
 from ..crypto.rsa import RSAKeyPair, RSAPublicKey, generate_keypair
 from ..pki.serialization import canonical_bytes
@@ -42,6 +41,25 @@ def _proof_digest(decision: AuthorizationDecision) -> str:
     if decision.proof is None:
         return _GENESIS
     return decision.proof.digest().hex()
+
+
+def _payload_bytes(fields: Mapping[str, object]) -> bytes:
+    """The signed bytes of the entry with ``fields`` (signature excluded)."""
+    return canonical_bytes(
+        {
+            "sequence": fields["sequence"],
+            "timestamp": fields["timestamp"],
+            "operation": fields["operation"],
+            "object": fields["object_name"],
+            "group": fields["group"] or "",
+            "granted": fields["granted"],
+            "reason": fields["reason"],
+            "proof_digest": fields["proof_digest"],
+            "previous_digest": fields["previous_digest"],
+            "trace_id": fields["trace_id"],
+            "event_kind": fields["event_kind"],
+        }
+    )
 
 
 @dataclass(frozen=True)
@@ -70,21 +88,7 @@ class AuditEntry:
     event_kind: str = ""
 
     def payload_bytes(self) -> bytes:
-        return canonical_bytes(
-            {
-                "sequence": self.sequence,
-                "timestamp": self.timestamp,
-                "operation": self.operation,
-                "object": self.object_name,
-                "group": self.group or "",
-                "granted": self.granted,
-                "reason": self.reason,
-                "proof_digest": self.proof_digest,
-                "previous_digest": self.previous_digest,
-                "trace_id": self.trace_id,
-                "event_kind": self.event_kind,
-            }
-        )
+        return _payload_bytes(vars(self))
 
     def digest(self) -> str:
         return hashlib.sha256(self.payload_bytes()).hexdigest()
@@ -173,7 +177,7 @@ class AuditLog:
         with the rest of the payload.
         """
         with self._lock:
-            entry = AuditEntry(
+            return self._append_signed(
                 sequence=self._count,
                 timestamp=decision.checked_at,
                 operation=decision.operation,
@@ -184,8 +188,8 @@ class AuditLog:
                 proof_digest=_proof_digest(decision),
                 previous_digest=self._tail_digest,
                 trace_id=trace_id,
+                event_kind="",
             )
-            return self._append_signed(entry)
 
     def append_event(
         self,
@@ -208,7 +212,7 @@ class AuditLog:
         ``flow-replay-suppressed``.
         """
         with self._lock:
-            entry = AuditEntry(
+            return self._append_signed(
                 sequence=self._count,
                 timestamp=timestamp,
                 operation=operation,
@@ -221,7 +225,6 @@ class AuditLog:
                 trace_id=trace_id,
                 event_kind=kind,
             )
-            return self._append_signed(entry)
 
     def events(self, kind: Optional[str] = None) -> List[AuditEntry]:
         """Entries recorded via :meth:`append_event` (optionally by kind)."""
@@ -230,21 +233,20 @@ class AuditLog:
             out = [e for e in out if e.event_kind == kind]
         return out
 
-    def _append_signed(self, entry: AuditEntry) -> AuditEntry:
+    def _append_signed(self, **fields) -> AuditEntry:
         # The signature is not part of the payload: encode it once, for
-        # the signature and the chain's next link alike.
-        payload = entry.payload_bytes()
-        signed = dataclasses.replace(
-            entry, signature=self._signer.private.sign(payload)
-        )
-        with self._lock:
-            if self._wal is not None:
-                self._wal.append_entry(signed)
-            else:
-                self._entries.append(signed)
-            self._count += 1
-            self._tail_digest = hashlib.sha256(payload).hexdigest()
-        return signed
+        # the signature and the chain's next link alike, then build the
+        # entry once, signed.  Callers hold the lock: the sequence and
+        # previous digest in ``fields`` must still be the tail's.
+        payload = _payload_bytes(fields)
+        entry = AuditEntry(signature=self._signer.private.sign(payload), **fields)
+        if self._wal is not None:
+            self._wal.append_entry(entry)
+        else:
+            self._entries.append(entry)
+        self._count += 1
+        self._tail_digest = hashlib.sha256(payload).hexdigest()
+        return entry
 
     @staticmethod
     def verify_chain(

@@ -78,8 +78,8 @@ class NonceLedger:
     A nonce only needs remembering while a replay could still pass the
     staleness check, i.e. until ``stated_at + window < now``; entries map
     to their forget-after time and a deque drives expiry.  The ledger is
-    lock-protected so protocol forks evaluating on different shard
-    threads (:mod:`repro.service`) can share one global replay window —
+    lock-protected so protocol forks of successive epochs and process
+    workers (:mod:`repro.service`) can share one global replay window —
     replay protection must span shards and epochs, unlike belief state.
 
     The ledger also keeps a digest of the message receipts each

@@ -76,6 +76,8 @@ class AxiomError(Exception):
 
 
 def _require(condition: bool, message: str) -> None:
+    # Constant messages only: a formatted one is raised at its site, so
+    # it is built when the check fails, not on every passing call.
     if not condition:
         raise AxiomError(message)
 
@@ -129,7 +131,8 @@ def a7_interval_instantiation(formula: Formula, t: int) -> Formula:
         time.kind is TemporalKind.ALL,
         "interval instantiation needs a closed-interval annotation",
     )
-    _require(time.lo <= t <= time.hi, f"t={t} outside [{time.lo}, {time.hi}]")
+    if not time.lo <= t <= time.hi:
+        raise AxiomError(f"t={t} outside [{time.lo}, {time.hi}]")
     import dataclasses
 
     return dataclasses.replace(
@@ -229,10 +232,10 @@ def a10_originator_identification(
     _require(body.key == speaks.key, "signature key differs from speaks-for key")
     recv_time = received.time
     _require(recv_time.is_point, "received premise must be at a point time")
-    _require(
-        speaks.time.covers(recv_time.lo),
-        f"key binding {speaks.time} does not cover receive time {recv_time.lo}",
-    )
+    if not speaks.time.covers(recv_time.lo):
+        raise AxiomError(
+            f"key binding {speaks.time} does not cover receive time {recv_time.lo}"
+        )
     originator = _key_subject_matches(speaks)
     said_time = Temporal.point(recv_time.lo, received.subject)
     return (
@@ -513,10 +516,10 @@ def a38_threshold_group_says(
         isinstance(subject, ThresholdPrincipal),
         "A38 applies to threshold membership CP_{m,n}",
     )
-    _require(
-        len(member_says) >= subject.m,
-        f"need {subject.m} member utterances, got {len(member_says)}",
-    )
+    if len(member_says) < subject.m:
+        raise AxiomError(
+            f"need {subject.m} member utterances, got {len(member_says)}"
+        )
     bound_by_name = {}
     for member in subject.base.members:
         _require(
@@ -531,15 +534,15 @@ def a38_threshold_group_says(
     for says in member_says:
         _require(isinstance(says, Says), "member premises must be says")
         speaker = says.subject
-        _require(speaker in bound_by_name, f"{speaker} is not a subject of the AC")
-        _require(speaker not in seen, f"duplicate utterance by {speaker}")
+        if speaker not in bound_by_name:
+            raise AxiomError(f"{speaker} is not a subject of the AC")
+        if speaker in seen:
+            raise AxiomError(f"duplicate utterance by {speaker}")
         seen.append(speaker)
         body = says.body
         _require(isinstance(body, Signed), "member utterances must be signed")
-        _require(
-            body.key == bound_by_name[speaker],
-            f"{speaker} signed with a key other than its bound key",
-        )
+        if body.key != bound_by_name[speaker]:
+            raise AxiomError(f"{speaker} signed with a key other than its bound key")
         _require(says.time.is_point, "utterances must be at point times")
         _require(
             membership.time.covers(says.time.lo),

@@ -347,8 +347,8 @@ class BeliefStore:
         certificate population, not the traffic served.
 
         This is the primitive behind epoch snapshots in
-        :mod:`repro.service`: publishing a policy epoch forks every
-        shard's store, applies the revocation to the fork, and swaps it
+        :mod:`repro.service`: publishing a policy epoch forks the
+        epoch's store, applies the revocation to the fork, and swaps it
         in atomically, leaving in-flight evaluations on the old epoch
         untouched.
         """

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Optional
 
 from .hashcons import cached_hash, plain_repr
@@ -71,7 +72,8 @@ class Temporal:
     # -- constructors -------------------------------------------------
     @staticmethod
     def point(t: Time, clock: Optional[object] = None) -> "Temporal":
-        return Temporal(TemporalKind.POINT, t, t, clock)
+        """The one shared point annotation for ``(t, clock)``."""
+        return _interned_point(t, clock)
 
     @staticmethod
     def all(lo: Time, hi: Time, clock: Optional[object] = None) -> "Temporal":
@@ -116,6 +118,14 @@ class Temporal:
         if self.kind is TemporalKind.ALL:
             return f"[{self.lo},{self.hi}]{clock}"
         return f"<{self.lo},{self.hi}>{clock}"
+
+
+# Requests rebuild the same one or two instants many times, so a few
+# hundred recent points suffice (each holds about 400 bytes).  The cache
+# keys on exact types: ``point(True)`` never gets ``point(1)``'s node.
+@lru_cache(maxsize=256, typed=True)
+def _interned_point(t: Time, clock: Optional[object]) -> Temporal:
+    return Temporal(TemporalKind.POINT, t, t, clock)
 
 
 def at(t: Time, clock: Optional[object] = None) -> Temporal:

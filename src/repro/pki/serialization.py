@@ -43,8 +43,9 @@ def _is_flat(payload: Dict[str, Any]) -> bool:
     """Whether ``_normalize`` would return ``payload`` unchanged.
 
     True for a dict of ``str`` keys whose values are all exactly
-    ``str`` or ``int`` below ``2**53`` in magnitude (a signed request
-    part, for one); sorting is then left to ``json.dumps``.
+    ``str``, ``bool``, ``None`` or ``int`` below ``2**53`` in magnitude
+    (a signed request part or an audit entry, for two); sorting is then
+    left to the encoder.
     """
     for key, value in payload.items():
         if type(key) is not str:
@@ -53,7 +54,7 @@ def _is_flat(payload: Dict[str, Any]) -> bool:
         if kind is int:
             if abs(value) >= 2**53:
                 return False
-        elif kind is not str:
+        elif kind is not str and kind is not bool and value is not None:
             return False
     return True
 

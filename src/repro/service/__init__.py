@@ -5,8 +5,9 @@ and provides what a single per-request protocol instance cannot:
 
 * shards keyed by resource, decided on the submitting thread or in
   per-shard worker processes (``sharding``),
-* immutable epoch snapshots of policy state, so revocations and ACL
-  changes apply atomically across shards (``epoch``),
+* immutable epoch snapshots of policy state, one protocol per epoch
+  shared by every shard, so revocations and ACL changes apply
+  atomically and once (``epoch``),
 * bounded admission queues with typed ``Overloaded`` load shedding and
   in-flight dedup (``admission``),
 * per-ticket fault isolation (typed ``Errored`` outcomes), restart

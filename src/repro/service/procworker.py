@@ -7,10 +7,12 @@ service already established:
 
 * **Epochs are immutable snapshots** — the natural shared-nothing unit.
   A published :class:`~repro.service.epoch.Epoch` ships to the child as
-  a pickled copy of this shard's protocol plus the ACL table, exactly
-  once per epoch; ACL-only epochs (``new.protocols is old.protocols``)
-  ship as a reference to the base epoch's already-shipped protocol, so
-  policy churn does not re-serialize belief state.
+  a pickled copy of the epoch's one protocol plus the ACL table,
+  exactly once per epoch; the service pickles that protocol once and
+  every shard's worker sends the same bytes.  ACL-only epochs
+  (``new.protocol is old.protocol``) ship as a reference to the base
+  epoch's already-shipped protocol, so policy churn does not
+  re-serialize belief state.
 * **Replay state is global** — unlike belief state it must span shards
   *and* processes.  Each child keeps one persistent
   :class:`~repro.coalition.protocol.NonceLedger` (every shipped
@@ -190,8 +192,8 @@ class ProcessShardWorker:
         # Nonces granted by sibling shards, awaiting the next ship.
         self._nonce_inbox: List[Tuple[str, int]] = []
         self._nonce_lock = threading.Lock()
-        # Epochs already shipped (pinned so id(protocols) keys stay
-        # unique) and protocol-tuple identity -> the epoch that shipped it.
+        # Epochs already shipped (pinned so id(protocol) keys stay
+        # unique) and protocol identity -> the epoch that shipped it.
         self._shipped_epochs: Dict[int, "Epoch"] = {}
         self._shipped_protocol_ids: Dict[int, int] = {}
         suffix = f"-r{incarnation}" if incarnation else ""
@@ -457,23 +459,18 @@ class ProcessShardWorker:
             raise _ChildDeath(exc, terminate=False) from None
 
     def _ship_epoch(self, epoch: "Epoch") -> None:
-        """Send this shard's slice of ``epoch``, at most once per epoch."""
+        """Send ``epoch`` to the child, at most once per epoch."""
         epoch_id = epoch.epoch_id
         if epoch_id in self._shipped_epochs:
             return
-        base = self._shipped_protocol_ids.get(id(epoch.protocols))
+        protocol = epoch.protocol
+        base = self._shipped_protocol_ids.get(id(protocol))
         if base is not None:
             frame = ("epoch", epoch_id, None, base, epoch.acls)
         else:
-            # Pickle under the shard's evaluation lock: epoch publishes
-            # fork protocols under it, and a fork mid-pickle could tear.
-            with self._service._shard_locks[self.shard]:
-                blob = pickle.dumps(
-                    epoch.protocols[self.shard],
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
+            blob = self._service._pickled_protocol(protocol)
             frame = ("epoch", epoch_id, blob, -1, epoch.acls)
-            self._shipped_protocol_ids[id(epoch.protocols)] = epoch_id
+            self._shipped_protocol_ids[id(protocol)] = epoch_id
         self._shipped_epochs[epoch_id] = epoch
         self._conn.send(frame)
 

@@ -3,10 +3,13 @@
 :class:`AuthorizationService` is the serving layer in front of
 :class:`~repro.coalition.protocol.AuthorizationProtocol`:
 
-* **Sharding** — requests route by resource key to one of N shard
-  protocols; one object's traffic stays ordered.
+* **Sharding** — requests route by resource key to one of N shards,
+  which partition admission (queues, breakers, dedup tables, process
+  workers); one object's traffic stays ordered.
 * **Epochs** — policy state (trust anchors, ACLs, revocations) is
-  pinned at admission; see :mod:`repro.service.epoch`.
+  pinned at admission; each epoch holds one protocol that every shard
+  decides against, so a revocation is forked and applied once; see
+  :mod:`repro.service.epoch`.
 * **Backpressure** — bounded per-shard queues; a full queue resolves
   the ticket with a typed :class:`~repro.service.admission.Overloaded`
   decision instead of queueing unboundedly or dropping silently.
@@ -149,23 +152,27 @@ class AuthorizationService:
         # One replay ledger across every shard and epoch: replays must
         # deny globally, unlike belief state which shards and snapshots.
         self.nonce_ledger = NonceLedger(freshness_window)
-        protocols = [
+        # One belief state for every shard (the paper's one verifier):
+        # the lock guards evaluation, forks and pickling of it.
+        self._protocol_lock = threading.Lock()
+        self.epochs = EpochManager(
             AuthorizationProtocol(
                 verifier_name=name,
                 freshness_window=freshness_window,
                 trust_epoch=trust_epoch,
                 nonce_ledger=self.nonce_ledger,
-            )
-            for _ in range(num_shards)
-        ]
-        self._shard_locks = [threading.Lock() for _ in range(num_shards)]
-        self.epochs = EpochManager(protocols, self._shard_locks)
+            ),
+            self._protocol_lock,
+        )
         self.protocol = _TrustFanout(self)
         self._queues = [ShardQueue(queue_depth) for _ in range(num_shards)]
         # Process mode: one ProcessShardWorker slot per shard; the
         # supervisor swaps in replacement incarnations on crash.  The
         # other modes decide on the caller's thread and leave these None.
         self._workers: list = [None] * num_shards
+        # The last protocol a worker pickled, with its bytes: every
+        # shard ships the same protocol, so it is pickled once.
+        self._protocol_blob: tuple = (None, b"")
         # Supervision: one crash budget per shard.  supervise only has
         # meaning in process mode (the other modes restart logically).
         self._supervise = supervise and mode == "process"
@@ -259,18 +266,15 @@ class AuthorizationService:
     # ------------------------------------------------------ configuration
 
     def _configure(self, method: str, *args, **kwargs) -> None:
-        """Apply a trust_* call to every shard protocol.
+        """Apply a trust_* call to the protocol.
 
-        Before the first request this writes the epoch-0 protocols in
+        Before the first request this writes the epoch-0 protocol in
         place; afterwards it publishes a new epoch so pinned evaluations
         never observe a half-configured trust set.
         """
         if not self._sealed:
-            for lock, protocol in zip(
-                self._shard_locks, self.epochs.current.protocols
-            ):
-                with lock:
-                    getattr(protocol, method)(*args, **kwargs)
+            with self._protocol_lock:
+                getattr(self.epochs.current.protocol, method)(*args, **kwargs)
             return
         epoch = self.epochs.publish_mutation(
             lambda protocol: getattr(protocol, method)(*args, **kwargs)
@@ -327,7 +331,7 @@ class AuthorizationService:
     def publish_revocation(
         self, revocation: RevocationCertificate, now: int
     ) -> Epoch:
-        """Admit a revocation as a new epoch (atomic across shards)."""
+        """Admit a revocation as a new epoch (forked and applied once)."""
         self._sealed = True
         epoch = self.epochs.publish_revocation(revocation, now)
         self._record_epoch(
@@ -660,7 +664,7 @@ class AuthorizationService:
         derivation_span = None
         if root is not None:
             derivation_span = root.child("derivation")
-        with self._shard_locks[ticket.shard]:
+        with self._protocol_lock:
             if entry is None:
                 decision = AuthorizationDecision(
                     granted=False,
@@ -670,7 +674,7 @@ class AuthorizationService:
                     checked_at=ticket.now,
                 )
             else:
-                decision = epoch.protocols[ticket.shard].authorize(
+                decision = epoch.protocol.authorize(
                     request, entry.acl, ticket.now
                 )
         if derivation_span is not None:
@@ -943,23 +947,11 @@ class AuthorizationService:
         in ``stranded``) or its re-check observed the open breaker and
         shed without pushing.
         """
-        breaker = self._breakers[shard]
         with self._shard_admission_locks[shard]:
             stranded = self._queues[shard].drain_all()
         for ticket in stranded:
-            decision = CircuitOpen(
-                granted=False,
-                reason=(
-                    f"circuit open: shard {shard} exceeded its restart "
-                    f"budget ({breaker.restarts} restarts, last error "
-                    f"{breaker.last_error})"
-                ),
-                operation=ticket.request.operation,
-                object_name=ticket.request.object_name,
-                checked_at=ticket.now,
-                shard=shard,
-                queue_depth=0,
-                restarts=breaker.restarts,
+            decision = self._circuit_open_decision(
+                ticket.request, ticket.now, shard, 0
             )
             if ticket.trace is not None:
                 ticket.trace.child(
@@ -998,6 +990,20 @@ class AuthorizationService:
             epoch_id=self.epochs.current.epoch_id,
             incarnation=incarnation,
         )
+
+    def _pickled_protocol(self, protocol: AuthorizationProtocol) -> bytes:
+        """``protocol`` pickled once for every process worker shipping it.
+
+        Pickled under the protocol lock: a publish forks under it, and a
+        fork mid-pickle could tear.
+        """
+        import pickle
+
+        with self._protocol_lock:
+            if self._protocol_blob[0] is not protocol:
+                blob = pickle.dumps(protocol, protocol=pickle.HIGHEST_PROTOCOL)
+                self._protocol_blob = (protocol, blob)
+            return self._protocol_blob[1]
 
     # ------------------------------------------------------ manual pumping
 
@@ -1219,13 +1225,11 @@ class AuthorizationService:
         return self.tracer.recent(n)
 
     def metrics_snapshot(self) -> Dict[str, object]:
-        """One merged registry snapshot across service + current shards.
+        """One merged registry snapshot: service + current protocol.
 
         The service registry (admission counters, latency histograms,
-        epoch gauges) merges with each current-epoch shard protocol's
-        snapshot, which itself folds in the shard's engine and belief
-        store.  Same-named shard metrics sum pointwise, so the result
-        reads like one logical protocol regardless of ``num_shards``.
+        epoch gauges) merges with the current epoch's protocol snapshot,
+        which itself folds in its engine and belief store.
         """
         self._sync_submitted()
         epoch = self.epochs.current
@@ -1258,8 +1262,6 @@ class AuthorizationService:
             )
         for name, value in gauges.items():
             self.metrics.gauge(name).set(value)
-        snapshots = [self.metrics.snapshot()]
-        for shard, protocol in enumerate(epoch.protocols):
-            with self._shard_locks[shard]:
-                snapshots.append(protocol.metrics_snapshot())
-        return MetricsRegistry.merge(snapshots)
+        with self._protocol_lock:
+            protocol_snapshot = epoch.protocol.metrics_snapshot()
+        return MetricsRegistry.merge([self.metrics.snapshot(), protocol_snapshot])

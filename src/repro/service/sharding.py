@@ -1,11 +1,14 @@
 """Shard routing.
 
-Requests shard by **resource key** (object name, falling back to the
-certified group for object-less requests): all traffic for one object
-lands on one shard protocol and one queue, so per-object evaluation
-order matches admission order.  The hash is CRC32, not Python's salted
-``hash()``, so placement is stable across processes and runs —
-benchmarks and the parity fuzzer rely on that.
+Shards are admission partitions: each has its own queue, circuit
+breaker, dedup table and (in process mode) worker process, while every
+shard decides against the epoch's one protocol
+(:mod:`repro.service.epoch`).  Requests shard by **resource key**
+(object name, falling back to the certified group for object-less
+requests): all traffic for one object lands in one queue, so
+per-object evaluation order matches admission order.  The hash is
+CRC32, not Python's salted ``hash()``, so placement is stable across
+processes and runs — benchmarks and the parity fuzzer rely on that.
 
 Threaded and manual services decide every shard's queue on the
 caller's thread, in global sequence order

@@ -146,8 +146,13 @@ def decode_frame_at(data: bytes, offset: int) -> Tuple[int, bytes, int]:
 # --------------------------------------------------------- record codecs
 
 
+# What ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` builds
+# on every call; encoding keeps no state between calls.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _json_bytes(doc: Dict[str, object]) -> bytes:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _ENCODER.encode(doc).encode("utf-8")
 
 
 def entry_to_payload(entry: AuditEntry) -> bytes:

@@ -12,7 +12,11 @@ from repro.coalition import (
     build_joint_request,
 )
 from repro.coalition.audit import AuditLog, AuditVerificationError
+from repro.coalition.protocol import AuthorizationDecision
+from repro.crypto.numtheory import modinv
+from repro.crypto.rsa import RSAKeyPair, RSAPrivateKey, RSAPublicKey
 from repro.pki import ValidityPeriod
+from repro.storage.wal import entry_to_payload
 
 
 def _decisions(formed_coalition, write_certificate, count=3):
@@ -318,3 +322,62 @@ class TestEvents:
         for t in threads:
             t.join()
         assert errors == []
+
+
+def _fixed_signer():
+    """A signer from two Mersenne primes, so signatures are pinned."""
+    p, q, e = 2**127 - 1, 2**89 - 1, 65537
+    n = p * q
+    return RSAKeyPair(
+        RSAPublicKey(n, e), RSAPrivateKey(n, modinv(e, (p - 1) * (q - 1)), p, q)
+    )
+
+
+# Recorded before audit entries were built once and flat payloads took
+# bools and None: the encoding must not move.
+_PINNED_WAL_PAYLOADS = [
+    '{"event_kind":"","granted":true,"group":"G_write","object":"ObjectO",'
+    '"operation":"write","previous_digest":"' + "0" * 64 + '","proof_digest":"'
+    + "0" * 64 + '","reason":"granted","sequence":0,"signature":'
+    '"0x64ab85374deedb907bf7401fac412e05988b371f65f26e7fdc978c","timestamp":7,'
+    '"trace_id":"ServiceP-00000001"}',
+    '{"event_kind":"","granted":false,"group":null,"object":null,'
+    '"operation":"read","previous_digest":'
+    '"3a186e1d51c188604a4ac3a9eed4e67a18129672bc28b7d1dc1b6a9f6e3956c5",'
+    '"proof_digest":"' + "0" * 64 + '","reason":"denied: membership revoked '
+    '\\u2014 G_read","sequence":1,"signature":'
+    '"0x42ae31dc2a63fdf8efc721b1b22d068632d409333b7aa73c62cee9","timestamp":8,'
+    '"trace_id":""}',
+    '{"event_kind":"flow-degraded","granted":false,"group":null,'
+    '"object":"ObjectO","operation":"read","previous_digest":'
+    '"569597fefd9882dd5dff2d46e073319d9054887d6c68bc2dbf2631ddedfa1f0c",'
+    '"proof_digest":"' + "0" * 64 + '","reason":"flow-degraded: 2 of 3",'
+    '"sequence":2,"signature":'
+    '"0x8a5677051f8a6c2411550febbd08c5d33a612f28f365d759083798","timestamp":9,'
+    '"trace_id":""}',
+]
+
+
+class TestPinnedEntryBytes:
+    def test_wal_payloads_and_chain_match_the_recorded_bytes(self):
+        log = AuditLog(signer=_fixed_signer())
+        entries = [
+            log.append(
+                AuthorizationDecision(
+                    granted=True, reason="granted", operation="write",
+                    object_name="ObjectO", checked_at=7, group="G_write",
+                ),
+                trace_id="ServiceP-00000001",
+            ),
+            log.append(
+                AuthorizationDecision(
+                    granted=False,
+                    reason="denied: membership revoked \u2014 G_read",
+                    operation="read", object_name=None, checked_at=8,
+                )
+            ),
+            log.append_event(9, "read", "ObjectO", "flow-degraded", detail="2 of 3"),
+        ]
+        got = [entry_to_payload(entry).decode("utf-8") for entry in entries]
+        assert got == _PINNED_WAL_PAYLOADS
+        log.verify(expected_length=3)

@@ -83,7 +83,7 @@ class TestStoreSizeFollowsCertificates:
                 assert all(t.result(0).granted for t in tickets)
 
             def shard_store():
-                return service.epochs.current.protocols[0].engine.store
+                return service.epochs.current.protocol.engine.store
 
             grant(range(1, 11))
             after_10 = len(shard_store())

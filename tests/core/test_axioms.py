@@ -85,6 +85,11 @@ class TestIntervalAndMonotonicity:
         with pytest.raises(AxiomError):
             axioms.a7_interval_instantiation(Says(P, during(1, 5), X), 9)
 
+    def test_a7_out_of_range_message(self):
+        with pytest.raises(AxiomError) as raised:
+            axioms.a7_interval_instantiation(Says(P, during(1, 5), X), 9)
+        assert str(raised.value) == "t=9 outside [1, 5]"
+
     def test_a7_requires_all_interval(self):
         with pytest.raises(AxiomError):
             axioms.a7_interval_instantiation(Says(P, at(3), X), 3)
@@ -173,6 +178,15 @@ class TestOriginatorIdentification:
         received = Received(P, at(5), Signed(X, K))
         with pytest.raises(AxiomError):
             axioms.a10_originator_identification(speaks, received)
+
+    def test_a10_binding_expired_message(self):
+        speaks = KeySpeaksFor(K, during(0, 3), Q)
+        received = Received(P, at(5), Signed(X, K))
+        with pytest.raises(AxiomError) as raised:
+            axioms.a10_originator_identification(speaks, received)
+        assert str(raised.value) == (
+            "key binding [0,3] does not cover receive time 5"
+        )
 
     def test_a10_unsigned_message(self):
         speaks = KeySpeaksFor(K, during(0, 10), Q)
@@ -410,6 +424,28 @@ class TestA38Threshold:
             self._member_says("U3", "k3"),
         ]
         assert axioms.a38_threshold_group_says(membership, says).subject == G
+
+    @pytest.mark.parametrize(
+        "signers, message",
+        [
+            ([("U1", "k1")], "need 2 member utterances, got 1"),
+            (
+                [("U1", "k1"), ("Mallory", "km")],
+                "Mallory is not a subject of the AC",
+            ),
+            ([("U1", "k1"), ("U1", "k1")], "duplicate utterance by U1"),
+            (
+                [("U1", "k1"), ("U2", "k3")],
+                "U2 signed with a key other than its bound key",
+            ),
+        ],
+    )
+    def test_failure_messages(self, signers, message):
+        """Deny reasons carry these texts byte for byte."""
+        says = [self._member_says(name, key) for name, key in signers]
+        with pytest.raises(AxiomError) as raised:
+            axioms.a38_threshold_group_says(self._membership(2), says)
+        assert str(raised.value) == message
 
     def test_unbound_subjects_rejected(self):
         cp = CompoundPrincipal.of([Principal("U1"), Principal("U2")])

@@ -1,5 +1,7 @@
 """Tests for temporal annotations."""
 
+import pickle
+
 import pytest
 
 from repro.core.temporal import (
@@ -41,6 +43,35 @@ class TestConstruction:
         p = Principal("P")
         t = at(5, p)
         assert t.clock == p
+
+
+class TestInternedPoints:
+    def test_same_instant_and_clock_share_one_node(self):
+        p = Principal("P")
+        assert Temporal.point(5) is at(5) is Temporal.point(5, None)
+        assert Temporal.point(5, p) is at(5, Principal("P"))
+        assert at(5, p) is not at(5)
+        assert at(5) is not at(6)
+
+    def test_equal_and_hash_equal_to_a_built_node(self):
+        p = Principal("P")
+        built = Temporal(TemporalKind.POINT, 7, 7, p)
+        assert at(7, p) == built
+        assert hash(at(7, p)) == hash(built)
+
+    def test_bool_and_int_never_share_an_entry(self):
+        assert at(1) == at(True)
+        assert at(1) is not at(True)
+        assert type(at(True).lo) is bool
+        assert type(at(1).lo) is int
+        assert at(0).lo is not False
+
+    def test_pickle_round_trip(self):
+        original = at(9, Principal("P"))
+        hash(original)
+        loaded = pickle.loads(pickle.dumps(original))
+        assert loaded == original
+        assert hash(loaded) == hash(original)
 
 
 class TestCovers:

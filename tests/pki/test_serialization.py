@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import json
 
-from repro.pki.serialization import _normalize, canonical_bytes
+from repro.pki.serialization import _is_flat, _normalize, canonical_bytes
 
 
 class TestCanonicalBytes:
@@ -78,11 +78,26 @@ class TestFlatPayloadFastPath:
             {"edge": 2**53, "s": "x"},  # not flat: hex-encoded
             {"b": True, "s": "x"},  # bool is not an int here
             {"f": None, "s": "x"},
+            {"t": True, "f": False, "n": None, "i": 1, "s": "x"},
+            {"granted": False, "group": None, "sequence": 2**53 - 1},
             {},
         ],
     )
     def test_same_bytes_as_the_slow_path(self, payload):
         assert canonical_bytes(payload) == _slow_path(payload)
+
+    @pytest.mark.parametrize(
+        "payload, flat",
+        [
+            ({"t": True, "f": False, "n": None, "i": 1, "s": "x"}, True),
+            ({"b": True, "edge": 2**53}, False),
+            ({"n": None, "x": 1.5}, False),
+            ({"n": None, "l": [True]}, False),
+            ({1: None}, False),
+        ],
+    )
+    def test_bool_and_none_stay_flat(self, payload, flat):
+        assert _is_flat(payload) is flat
 
     @given(
         st.dictionaries(
@@ -90,6 +105,8 @@ class TestFlatPayloadFastPath:
             st.one_of(
                 st.integers(-(2**60), 2**60),
                 st.text(max_size=16),
+                st.booleans(),
+                st.none(),
             ),
             max_size=8,
         )

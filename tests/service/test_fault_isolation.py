@@ -10,6 +10,7 @@ trace annotated, counters bumped) and the shard keeps deciding.
 
 from repro.coalition import build_joint_request
 from repro.service import Errored
+from repro.service.sharding import shard_for
 
 
 def _read(users, cert, obj, now, nonce):
@@ -20,11 +21,13 @@ def _read(users, cert, obj, now, nonce):
 
 def _poison_shard(service, shard, times=1, exc_type=RuntimeError):
     """Make the next ``times`` evaluations on ``shard`` raise."""
-    protocol = service.epochs.current.protocols[shard]
+    protocol = service.epochs.current.protocol
     original = protocol.authorize
     state = {"left": times, "calls": 0}
 
     def poisoned(request, acl, now):
+        if shard_for(request, service.num_shards) != shard:
+            return original(request, acl, now)
         state["calls"] += 1
         if state["left"] > 0:
             state["left"] -= 1
