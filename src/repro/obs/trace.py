@@ -19,14 +19,14 @@ Span structure for a served request (see DESIGN.md §10)::
 
     request                 trace_id, operation, object, seq
     ├─ admission            shard, epoch pinned at admission
-    ├─ queue_wait           push → worker dequeue
-    ├─ barrier_wait         (only when a same-nonce predecessor ran)
+    ├─ queue_wait           push → decider dequeue
     ├─ epoch_pin            epoch_id the evaluation binds to
     ├─ derivation           granted, reason, axioms, proof_steps
     └─ audit_append         audit sequence number
 
-A shed request replaces everything after ``admission`` with a single
-``shed`` span carrying the overload reason.
+A shed request replaces everything between ``admission`` and
+``audit_append`` with a single ``shed`` span carrying the overload
+reason.
 """
 
 from __future__ import annotations

@@ -88,10 +88,12 @@ class Ticket:
 
     Carries the admission-time pinning (epoch, shard, global sequence
     number) plus wall-clock timestamps for latency percentiles.
-    ``predecessor`` is the previous in-flight ticket sharing a nonce,
-    if any — its decider waits for it before evaluating, so replay
-    semantics are identical to a sequential server even when the two
-    requests landed on different shards.
+    ``predecessor`` is set in process mode only: the previous in-flight
+    ticket sharing a nonce, which the shard's dispatcher waits for
+    before shipping this one, so replay semantics match a sequential
+    server even when the two requests landed on different shards'
+    worker processes.  The other modes decide in sequence order and
+    leave it ``None``.
     """
 
     __slots__ = (

@@ -24,8 +24,9 @@ service already established:
   barrier (a ticket ships only after its same-nonce predecessor
   resolved, and the pump broadcasts before it resolves), a child always
   observes a predecessor's nonce before evaluating the successor — the
-  same sequential-replay parity the threaded path gets from ticket
-  chaining.
+  same sequential-replay parity the caller-thread engine gets from
+  deciding in global sequence order.  Admission chains same-nonce
+  tickets (``Ticket.predecessor``) in this mode only.
 
 Per shard the parent runs two threads around one duplex pipe:
 
@@ -74,11 +75,12 @@ def _child_main(conn, shard: int) -> None:
     state it evaluates against arrives through the pipe.  One
     persistent :class:`NonceLedger` spans every shipped epoch — each
     unpickled protocol is rebound to it, or replays could slip between
-    epochs.
+    epochs.  Eval frames name epochs in pin order, so after each one
+    every older epoch is dropped: memory does not grow with history.
     """
     ledger = NonceLedger()
-    protocols: Dict[int, object] = {}
-    acl_tables: Dict[int, dict] = {}
+    # epoch id -> (protocol, ACL table)
+    epochs: Dict[int, tuple] = {}
     while True:
         try:
             frame = conn.recv()
@@ -98,17 +100,16 @@ def _child_main(conn, shard: int) -> None:
             if blob is None:
                 # ACL-only epoch: belief state unchanged, reuse the
                 # base epoch's protocol (same sharing the parent has).
-                protocol = protocols[base_epoch_id]
+                protocol = epochs[base_epoch_id][0]
             else:
                 protocol = pickle.loads(blob)
                 protocol.nonces = ledger
-            protocols[epoch_id] = protocol
-            acl_tables[epoch_id] = acls
+            epochs[epoch_id] = (protocol, acls)
         elif kind == "eval":
             results = []
             for seq, now, epoch_id, request in frame[1]:
-                protocol = protocols[epoch_id]
-                entry = acl_tables[epoch_id].get(request.object_name)
+                protocol, acls = epochs[epoch_id]
+                entry = acls.get(request.object_name)
                 nonce_entries: List[Tuple[str, int]] = []
                 try:
                     if entry is None:
@@ -140,6 +141,8 @@ def _child_main(conn, shard: int) -> None:
                     payload = ("exc", type(exc).__name__, str(exc))
                 results.append((seq, payload, nonce_entries))
             conn.send(("done", results))
+            for stale in [e for e in epochs if e < epoch_id]:
+                del epochs[stale]
 
 
 class _ChildDeath(Exception):
@@ -192,10 +195,8 @@ class ProcessShardWorker:
         # Nonces granted by sibling shards, awaiting the next ship.
         self._nonce_inbox: List[Tuple[str, int]] = []
         self._nonce_lock = threading.Lock()
-        # Epochs already shipped (pinned so id(protocol) keys stay
-        # unique) and protocol identity -> the epoch that shipped it.
-        self._shipped_epochs: Dict[int, "Epoch"] = {}
-        self._shipped_protocol_ids: Dict[int, int] = {}
+        # (epoch id, protocol) of the last epoch shipped to the child.
+        self._last_shipped: tuple = (None, None)
         suffix = f"-r{incarnation}" if incarnation else ""
         ctx = multiprocessing.get_context()
         self._conn, self._child_conn = ctx.Pipe()
@@ -459,19 +460,22 @@ class ProcessShardWorker:
             raise _ChildDeath(exc, terminate=False) from None
 
     def _ship_epoch(self, epoch: "Epoch") -> None:
-        """Send ``epoch`` to the child, at most once per epoch."""
-        epoch_id = epoch.epoch_id
-        if epoch_id in self._shipped_epochs:
+        """Send ``epoch`` to the child, at most once per epoch.
+
+        Admission pins epochs in order and pushes under one lock, and
+        the queue is FIFO, so one incarnation meets its epochs in order:
+        only the last one shipped can recur, or share its protocol with
+        an ACL-only successor (shipped as a back-reference).
+        """
+        last_id, last_protocol = self._last_shipped
+        if epoch.epoch_id == last_id:
             return
-        protocol = epoch.protocol
-        base = self._shipped_protocol_ids.get(id(protocol))
-        if base is not None:
-            frame = ("epoch", epoch_id, None, base, epoch.acls)
+        if epoch.protocol is last_protocol:
+            frame = ("epoch", epoch.epoch_id, None, last_id, epoch.acls)
         else:
-            blob = self._service._pickled_protocol(protocol)
-            frame = ("epoch", epoch_id, blob, -1, epoch.acls)
-            self._shipped_protocol_ids[id(protocol)] = epoch_id
-        self._shipped_epochs[epoch_id] = epoch
+            blob = self._service._pickled_protocol(epoch.protocol)
+            frame = ("epoch", epoch.epoch_id, blob, -1, epoch.acls)
+        self._last_shipped = (epoch.epoch_id, epoch.protocol)
         self._conn.send(frame)
 
     # -------------------------------------------------------- result pump

@@ -16,9 +16,12 @@
 * **Dedup** — identical concurrent submissions coalesce onto one
   evaluation (optional, on by default).
 * **Replay parity** — one nonce ledger spans all shards and epochs, and
-  same-nonce tickets are chained (each waits for its predecessor), so
-  grant/deny decisions are byte-identical to a single sequential
-  protocol evaluating the same admission stream.
+  threaded and manual modes decide every ticket in global sequence
+  order, so grant/deny decisions are byte-identical to a single
+  sequential protocol evaluating the same admission stream.  Process
+  mode, whose shard deciders run in parallel, chains same-nonce
+  tickets instead: a dispatcher ships a ticket only after its
+  predecessor resolved.
 * **Supervision** — per-ticket fault isolation converts evaluation
   exceptions into typed :class:`~repro.service.admission.Errored`
   decisions; every shard has a
@@ -42,7 +45,7 @@ pumps.  In both, a chaos ``WorkerKilled`` is a logical restart that
 burns the shard's restart budget.
 
 Admission is **batched** (DESIGN.md §12): callers can admit N
-requests under one pass of the admission path
+requests in one pass under the admission lock
 (:meth:`AuthorizationService.submit_batch`), and a decided batch's
 tickets are accounted with a single admission-lock sweep.
 """
@@ -192,21 +195,10 @@ class AuthorizationService:
         # restart from zero with each logical restart.
         self._decision_lock = threading.Lock()
         self._decided = [0] * num_shards
-        # Admission bookkeeping: global sequence, per-shard in-flight
-        # dedup tables, and the tail ticket per nonce (replay chaining).
-        # The global _admission_lock guards only the O(1)-per-request
-        # bookkeeping (seq, dedup probe, nonce chaining, breaker fast
-        # check, shed accounting); the queue push and the ``submitted``
-        # counting happen under per-shard locks so concurrent
-        # submitters for different shards never serialize on the push.
+        # Admission bookkeeping under one lock: global sequence, queue
+        # pushes, per-shard in-flight dedup tables, completion counters
+        # and, in process mode, the tail ticket per nonce (chaining).
         self._admission_lock = threading.Lock()
-        self._shard_admission_locks = [
-            threading.Lock() for _ in range(num_shards)
-        ]
-        # Per-shard submitted counts (owned by the per-shard admission
-        # locks); the global `submitted` counter is lazily synced from
-        # these in stats()/metrics_snapshot().
-        self._shard_submitted = [0] * num_shards
         self._next_seq = 0
         self._inflight: List[Dict[tuple, Ticket]] = [
             {} for _ in range(num_shards)
@@ -366,11 +358,11 @@ class AuthorizationService:
 
         Semantically identical to calling :meth:`submit` per pair — the
         same tickets resolve to the same decisions, in the same global
-        sequence order — but the O(1) bookkeeping for the whole batch
-        runs under one acquisition of the admission lock and the queue
-        pushes group into one ``try_push_batch`` per target shard, so
-        the per-request lock traffic amortizes across the batch.  In
-        threaded mode every returned ticket is already resolved.
+        sequence order — but the whole batch is admitted under one
+        acquisition of the admission lock, with one ``try_push_batch``
+        per target shard, so the per-request lock traffic amortizes
+        across the batch.  In threaded mode every returned ticket is
+        already resolved.
         """
         pairs = list(batch)
         if not pairs:
@@ -389,62 +381,35 @@ class AuthorizationService:
         return tickets
 
     def _admit(self, pairs: List[tuple]) -> List[Ticket]:
-        """The admission path: one global pass, then per-shard pushes.
+        """The admission path: one pass under the admission lock.
 
-        Phase 1 (global ``_admission_lock``): per request, the breaker
-        fast-check, the dedup probe, sequence assignment, nonce-tail
-        chaining and the outstanding count — all O(1).  Phase 2 (one
-        per-shard lock per target shard): ``submitted`` counting, a
-        breaker re-check, and the queue push.  Tickets the push could
-        not place (queue full, or the breaker opened between the
-        phases) resolve as typed sheds through the normal completion
-        path, so accounting stays exact.
+        Per request: the breaker check, the dedup probe and the
+        sequence number (plus, in process mode, same-nonce chaining);
+        then one ``try_push_batch`` per target shard.  A ticket that is
+        not queued (its shard's breaker is open, or the queue is full)
+        is still admitted, and resolves as a typed shed through
+        :meth:`_shed` once the lock is released.
 
-        Threaded mode pushes inside the phase-1 section.  A decider
-        collects queued tickets under the same lock (:meth:`_take_queued`),
-        so whatever it sees is every queued ticket up to some sequence
-        number: a same-nonce predecessor is resolved, ahead of its
-        successor in the collected batch, or a shed its admitter is
-        resolving.  A decider therefore never waits, under the decision
-        lock, on a ticket only a later decider could reach.
+        Deciders collect queued tickets (:meth:`_take_queued`) and a
+        breaker trip drains its queue (:meth:`_trip_breaker`) under the
+        same lock, so a push is never split from its breaker check and
+        one shard's queue holds its tickets in sequence (and epoch)
+        order.
         """
         if self._closed:
             raise ServiceError("service is closed")
         self._sealed = True
-        results: List[Optional[Ticket]] = [None] * len(pairs)
-        # shard -> [(ticket, admission_span)] awaiting the phase-2 push.
-        to_push: Dict[int, List[tuple]] = {}
-        pushed: List[tuple] = []
-        # shard -> arrivals in this call (submitted counting, phase 2).
-        arrivals: Dict[int, int] = {}
-        breaker_sheds: List[tuple] = []
+        chain = self.mode == "process"
+        results: List[Ticket] = []
+        sheds: List[tuple] = []
+        queued: Dict[int, List[tuple]] = {}
         with self._admission_lock:
+            self.submitted.inc(len(pairs))
             epoch = self.epochs.current
-            for idx, (request, now) in enumerate(pairs):
+            for request, now in pairs:
                 shard = shard_for(request, self.num_shards)
-                arrivals[shard] = arrivals.get(shard, 0) + 1
-                breaker = self._breakers[shard]
-                if breaker.is_open:
-                    # Admission-time circuit breaking: the shard is
-                    # FAILED, shed immediately instead of queueing work
-                    # nobody will ever drain.  Shed *accounting* stays
-                    # under the global lock (satellite contract); the
-                    # resolve/audit runs after release.
-                    ticket = Ticket(
-                        request=request, now=now, epoch=epoch,
-                        shard=shard, seq=self._next_seq,
-                    )
-                    self._next_seq += 1
-                    ticket.trace = self._begin_trace(ticket)
-                    self.overloaded.inc()
-                    self.circuit_open_sheds.inc()
-                    decision = self._circuit_open_decision(
-                        request, now, shard, len(self._queues[shard])
-                    )
-                    breaker_sheds.append((ticket, decision))
-                    results[idx] = ticket
-                    continue
-                if self.dedup:
+                circuit_open = self._breakers[shard].is_open
+                if self.dedup and not circuit_open:
                     fingerprint = request_fingerprint(request, now)
                     existing = self._inflight[shard].get(fingerprint)
                     if existing is not None and not existing.done():
@@ -454,113 +419,60 @@ class AuthorizationService:
                             existing.trace.attrs["coalesced"] = (
                                 existing.coalesced
                             )
-                        results[idx] = existing
+                        results.append(existing)
                         continue
                 ticket = Ticket(
                     request=request, now=now, epoch=epoch, shard=shard,
                     seq=self._next_seq,
                 )
                 self._next_seq += 1
-                root = self._begin_trace(ticket)
-                ticket.trace = root
-                admission_span: Optional[TraceSpan] = None
+                self._outstanding += 1
+                results.append(ticket)
+                root = ticket.trace = self._begin_trace(ticket)
+                span: Optional[TraceSpan] = None
                 if root is not None:
-                    admission_span = root.child(
+                    span = root.child(
                         "admission", shard=shard, epoch_id=epoch.epoch_id
                     )
+                if circuit_open:
+                    # The shard is FAILED: shed now instead of queueing
+                    # work nobody will ever drain.
+                    if span is not None:
+                        span.end(outcome="shed")
+                    decision = self._circuit_open_decision(
+                        request, now, shard, len(self._queues[shard])
+                    )
+                    sheds.append((ticket, decision))
+                    continue
                 if self.dedup:
                     self._inflight[shard][fingerprint] = ticket
-                # Chain same-nonce tickets across shards: the worker
-                # waits for the predecessor, so replay checks observe
-                # exactly the sequential admission order.  This must
-                # stay atomic with sequence assignment (one global
-                # section), or two same-nonce submitters could both
-                # miss each other's tail and race the replay check.
-                for nonce in sorted({p.nonce for p in request.parts}):
-                    tail = self._nonce_tail.get(nonce)
-                    if tail is not None and not tail.done():
-                        if (
-                            ticket.predecessor is None
-                            or tail.seq > ticket.predecessor.seq
-                        ):
-                            ticket.predecessor = tail
-                    self._nonce_tail[nonce] = ticket
-                self._outstanding += 1
-                results[idx] = ticket
-                to_push.setdefault(shard, []).append((ticket, admission_span))
-            if self.mode == "threaded":
-                pushed = [
-                    self._push_group(shard, group, arrivals.pop(shard))
-                    for shard, group in to_push.items()
-                ]
-                to_push = {}
-        for ticket, decision in breaker_sheds:
-            root = ticket.trace
-            if root is not None:
-                root.child("shed", reason=decision.reason).end()
-            ticket.resolve(decision)
-            if self.audit_log is not None:
-                self.audit_log.append(decision, trace_id=ticket.trace_id)
-            self.tracer.finish(root)
-        for shard, group in to_push.items():
-            pushed.append(self._push_group(shard, group, arrivals.pop(shard)))
-        for push in pushed:
-            self._shed_unpushed(*push)
-        # Shards whose arrivals all coalesced or shed at the breaker
-        # fast-check still own their submitted counts.
-        for shard, count in arrivals.items():
-            with self._shard_admission_locks[shard]:
-                self._shard_submitted[shard] += count
-        return results
-
-    def _push_group(
-        self, shard: int, group: List[tuple], arrived: int
-    ) -> tuple:
-        """Phase 2 of admission: push one shard's tickets (shard lock).
-
-        Returns ``(shard, group, accepted, circuit)`` for
-        :meth:`_shed_unpushed`, which resolves the tickets that did not
-        fit outside every admission lock.
-
-        Failover interleaving argument (why per-shard locks stay safe):
-        ``CircuitBreaker.record_crash`` sets the breaker open *before*
-        ``_trip_breaker`` drains the queue, and both the breaker
-        re-check + push here and the trip's drain hold this shard's
-        admission lock.  So for any push racing a trip, either the
-        whole {re-check, push} section wins the lock first — the push
-        happens before the drain, and the drain catches the ticket —
-        or the drain wins, in which case the open flag was already set
-        and the re-check sheds instead of pushing.  A ticket can never
-        be pushed into a dead shard's queue after its failover sweep.
-        """
-        with self._shard_admission_locks[shard]:
-            self._shard_submitted[shard] += arrived
-            if self._breakers[shard].is_open:
-                accepted, circuit = 0, True
-            else:
+                if chain:
+                    # Process-mode dispatchers run in parallel: each
+                    # ships a ticket only after its same-nonce
+                    # predecessor resolved.  Chaining stays atomic with
+                    # sequence assignment, so two same-nonce submitters
+                    # can never both miss each other's tail.
+                    for nonce in sorted({p.nonce for p in request.parts}):
+                        tail = self._nonce_tail.get(nonce)
+                        if tail is not None and not tail.done():
+                            if (
+                                ticket.predecessor is None
+                                or tail.seq > ticket.predecessor.seq
+                            ):
+                                ticket.predecessor = tail
+                        self._nonce_tail[nonce] = ticket
+                queued.setdefault(shard, []).append((ticket, span))
+            for shard, group in queued.items():
                 accepted = self._queues[shard].try_push_batch(
-                    [t for t, _ in group]
+                    [ticket for ticket, _ in group]
                 )
-                circuit = False
-        for ticket, admission_span in group[:accepted]:
-            if admission_span is not None:
-                admission_span.end(outcome="queued")
-                ticket.queue_span = ticket.trace.child("queue_wait")
-        return shard, group, accepted, circuit
-
-    def _shed_unpushed(
-        self, shard: int, group: List[tuple], accepted: int, circuit: bool
-    ) -> None:
-        """Resolve the tickets :meth:`_push_group` could not queue."""
-        queue = self._queues[shard]
-        acct: List[tuple] = []
-        try:
-            for ticket, admission_span in group[accepted:]:
-                if circuit:
-                    decision = self._circuit_open_decision(
-                        ticket.request, ticket.now, shard, len(queue)
-                    )
-                else:
+                for ticket, span in group[:accepted]:
+                    if span is not None:
+                        span.end(outcome="queued")
+                        ticket.queue_span = ticket.trace.child("queue_wait")
+                for ticket, span in group[accepted:]:
+                    if span is not None:
+                        span.end(outcome="shed")
                     decision = Overloaded(
                         granted=False,
                         reason=(
@@ -573,16 +485,20 @@ class AuthorizationService:
                         shard=shard,
                         queue_depth=self.queue_depth,
                     )
-                acct.append((ticket, decision))
-                if admission_span is not None:
-                    admission_span.end(outcome="shed")
-                    ticket.trace.child("shed", reason=decision.reason).end()
-                ticket.resolve(decision)
-                if self.audit_log is not None:
-                    self.audit_log.append(decision, trace_id=ticket.trace_id)
-                self.tracer.finish(ticket.trace)
-        finally:
-            self._account_batch(acct)
+                    sheds.append((ticket, decision))
+        for ticket, decision in sheds:
+            self._shed(ticket, decision)
+        return results
+
+    def _shed(self, ticket: Ticket, decision: Overloaded) -> None:
+        """Resolve an admitted ticket that no decider will take.
+
+        The one shed path: admission sheds (open breaker, full queue)
+        and the tickets a tripped breaker fails over.
+        """
+        if ticket.trace is not None:
+            ticket.trace.child("shed", reason=decision.reason).end()
+        self._complete(ticket, decision)
 
     def _begin_trace(self, ticket: Ticket) -> Optional[TraceSpan]:
         return self.tracer.begin(
@@ -626,7 +542,7 @@ class AuthorizationService:
     # -------------------------------------------------------- evaluation
 
     def _decide(self, ticket: Ticket) -> AuthorizationDecision:
-        """The raising decision path: barrier, epoch pin, derivation.
+        """The raising decision path: epoch pin, derivation.
 
         Any ``Exception`` it raises becomes a typed :class:`Errored`
         decision in the caller (per-ticket fault isolation).
@@ -634,17 +550,6 @@ class AuthorizationService:
         the crash path, which burns the shard's restart budget.
         """
         root: Optional[TraceSpan] = ticket.trace
-        predecessor = ticket.predecessor
-        if predecessor is not None and not predecessor.done():
-            self.barrier_waits.inc()
-            barrier_span = None
-            if root is not None:
-                barrier_span = root.child(
-                    "barrier_wait", predecessor_seq=predecessor.seq
-                )
-            predecessor.wait()
-            if barrier_span is not None:
-                barrier_span.end()
         self._queue_wait_hist.observe(
             time.perf_counter() - ticket.submitted_at
         )
@@ -716,10 +621,8 @@ class AuthorizationService:
     ) -> None:
         """Wake the submitter: Event.set, latency, audit, trace finish.
 
-        Lock-free — a same-nonce successor blocked on this ticket's
-        barrier (possibly in the *same* drained batch) can proceed the
-        moment the event fires, so batched completion can never
-        deadlock an intra-batch nonce chain.
+        Lock-free, so a process-mode dispatcher waiting on this ticket
+        as a same-nonce predecessor proceeds the moment the event fires.
         """
         if ticket.queue_span is not None:
             ticket.queue_span.end()
@@ -750,6 +653,7 @@ class AuthorizationService:
         """
         if not resolved:
             return
+        chain = self.mode == "process"
         with self._admission_lock:
             for ticket, decision in resolved:
                 if isinstance(decision, Errored):
@@ -770,9 +674,10 @@ class AuthorizationService:
                     )
                     if self._inflight[ticket.shard].get(fingerprint) is ticket:
                         del self._inflight[ticket.shard][fingerprint]
-                for part in ticket.request.parts:
-                    if self._nonce_tail.get(part.nonce) is ticket:
-                        del self._nonce_tail[part.nonce]
+                if chain:
+                    for part in ticket.request.parts:
+                        if self._nonce_tail.get(part.nonce) is ticket:
+                            del self._nonce_tail[part.nonce]
                 self._outstanding -= 1
             if self._outstanding == 0:
                 self._drained.notify_all()
@@ -795,8 +700,7 @@ class AuthorizationService:
 
         Per ticket: the chaos loop-top hook (``kill_after`` counts the
         shard's decisions since its last restart), the decision, and an
-        immediate :meth:`_resolve_ticket`, so a same-nonce successor
-        later in the batch sees its predecessor resolved.  The
+        immediate :meth:`_resolve_ticket`.  The
         admission-lock accounting for the whole batch is one
         :meth:`_account_batch` flush in the ``finally``.
 
@@ -855,8 +759,9 @@ class AuthorizationService:
     def _take_queued(self, limit: Optional[int]) -> List[Ticket]:
         """Every queued ticket (at most ``limit``), in sequence order.
 
-        Runs under the admission lock, so in threaded mode no push can
-        interleave with the collection (see :meth:`_admit`).
+        Runs under the admission lock, so no push interleaves with the
+        collection: the batch is every queued ticket up to some
+        sequence number.
         """
         batch: List[Ticket] = []
         for queue in self._queues:
@@ -874,8 +779,9 @@ class AuthorizationService:
         holds the decision lock; each round collects whatever is queued
         and decides it as one batch, until the queues are empty (or
         ``limit`` tickets were taken).  Deciding in sequence order
-        keeps a same-nonce chain from ever waiting on an undecided
-        ticket.
+        gives replay checks the admission order, so a same-nonce
+        predecessor is always decided first (or was a shed, which
+        consumes no nonce): no ticket waits for another.
         """
         taken = 0
         with self._decision_lock:
@@ -937,27 +843,22 @@ class AuthorizationService:
     def _trip_breaker(self, shard: int) -> None:
         """Give up on a shard: fail its queued tickets over as shed.
 
-        The breaker is already open (set inside ``record_crash``), and
-        admission re-checks it under the *per-shard* admission lock in
-        the same critical section as its queue push (see
-        :meth:`_push_group` for the full interleaving argument).
-        Draining under that same per-shard lock therefore guarantees no
-        ticket can land in the dead shard's queue after this sweep:
-        a racing push either completed before the drain (its ticket is
-        in ``stranded``) or its re-check observed the open breaker and
-        shed without pushing.
+        The breaker is already open (``record_crash`` set it), and
+        admission checks it and pushes in one hold of the admission
+        lock, which this drain takes too.  So no ticket lands in the
+        dead shard's queue after the sweep: a racing admission either
+        pushed before the drain (its ticket is in ``stranded``) or saw
+        the open breaker and shed without pushing.
         """
-        with self._shard_admission_locks[shard]:
+        with self._admission_lock:
             stranded = self._queues[shard].drain_all()
         for ticket in stranded:
-            decision = self._circuit_open_decision(
-                ticket.request, ticket.now, shard, 0
+            self._shed(
+                ticket,
+                self._circuit_open_decision(
+                    ticket.request, ticket.now, shard, 0
+                ),
             )
-            if ticket.trace is not None:
-                ticket.trace.child(
-                    "shed", reason=decision.reason, circuit="open"
-                ).end()
-            self._complete(ticket, decision)
 
     def _restart_worker(self, shard: int):
         """Install a replacement for a crashed worker, or refuse.
@@ -1166,21 +1067,6 @@ class AuthorizationService:
 
         return health_report(self)
 
-    def _sync_submitted(self) -> int:
-        """Fold the per-shard submitted counts into the global counter.
-
-        ``submitted`` is counted under the per-shard admission locks
-        (hot path); readers reconcile lazily here.  The counter only
-        ever moves forward, so concurrent syncs are safe under the
-        admission lock.
-        """
-        total = sum(self._shard_submitted)
-        with self._admission_lock:
-            delta = total - self.submitted.value
-            if delta > 0:
-                self.submitted.inc(delta)
-            return self.submitted.value
-
     def stats(self) -> Dict[str, Dict[str, int]]:
         """Namespaced service/epoch/health counters (shed is never silent)."""
         epoch = self.epochs.current
@@ -1188,7 +1074,7 @@ class AuthorizationService:
             "service": {
                 "shards": self.num_shards,
                 "queue_depth": self.queue_depth,
-                "submitted": self._sync_submitted(),
+                "submitted": self.submitted.value,
                 "evaluated": self.evaluated.value,
                 "granted": self.granted.value,
                 "denied": self.denied.value,
@@ -1231,7 +1117,6 @@ class AuthorizationService:
         epoch gauges) merges with the current epoch's protocol snapshot,
         which itself folds in its engine and belief store.
         """
-        self._sync_submitted()
         epoch = self.epochs.current
         gauges = {
             "outstanding": self._outstanding,

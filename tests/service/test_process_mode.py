@@ -14,11 +14,16 @@
   crashes, preserving ``evaluated + errored + overloaded == submitted``.
 """
 
+import gc
+import pickle
 import time
+import weakref
+from types import SimpleNamespace
 
 import pytest
 
-from repro.coalition import build_joint_request
+from repro.coalition import AuthorizationDecision, build_joint_request
+from repro.pki import ValidityPeriod
 from repro.service import (
     ChaosConfig,
     CircuitOpen,
@@ -27,7 +32,9 @@ from repro.service import (
     ServiceError,
 )
 from repro.service.health import health_report
+from repro.service.procworker import _child_main
 
+from .conftest import WINDOW
 from .test_service_parity import (
     FRESHNESS,
     _assert_parity,
@@ -120,6 +127,7 @@ def test_process_cross_shard_replay_is_denied(service_coalition):
         _read(users, cert, "ObjectP", now, "xs-nonce"), now=now
     )
     assert first.shard != second.shard
+    assert second.predecessor is first
     assert service.drain(timeout=30)
     assert first.result(0).granted
     denied = second.result(0)
@@ -277,3 +285,122 @@ class TestProcessUnsupervisedDetection:
         ]
         assert len(stranded) >= 1
         _assert_accounting_identity(service)
+
+
+class _CountedProtocol:
+    """A picklable stand-in protocol that tracks its live copies."""
+
+    unpickled = weakref.WeakSet()
+
+    def __init__(self):
+        self.nonces = None
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        _CountedProtocol.unpickled.add(self)
+
+    def authorize(self, request, acl, now):
+        return AuthorizationDecision(
+            granted=True, reason="counted", operation=request.operation,
+            object_name=request.object_name, checked_at=now,
+        )
+
+
+class TestProcessEpochMemory:
+    def test_parent_pins_only_the_last_shipped_epoch(self, service_coalition):
+        """30 revocations with traffic between them: every epoch ships
+        to both workers, yet once the tickets are gone no superseded
+        protocol stays alive beyond the current one and each worker's
+        last shipped one — and every decision matches the oracle."""
+        ctx, make_service = service_coalition
+        service = make_service(
+            mode="process", num_shards=2, queue_depth=512, dedup=False,
+            freshness_window=FRESHNESS,
+        )
+        server = _oracle_server(ctx)
+        coalition, users = ctx["coalition"], ctx["users"]
+        validity = ValidityPeriod(0, WINDOW)
+        protocols = [weakref.ref(service.epochs.current.protocol)]
+        paired = []
+        now = FRESHNESS + 10
+        revoked = None
+        for i in range(30):
+            victim = coalition.authority.issue_threshold_certificate(
+                users, 2, "G_write", 0, validity
+            )
+            for obj in ("ObjectO", "ObjectP"):
+                requests = [
+                    _read(users, ctx["read_cert"], obj, now, f"em-r-{i}-{obj}"),
+                    build_joint_request(
+                        users[0], [users[1]], "write", obj, victim,
+                        now=now, nonce=f"em-w-{i}-{obj}",
+                    ),
+                ]
+                if revoked is not None:
+                    requests.append(build_joint_request(
+                        users[0], [users[1]], "write", obj, revoked,
+                        now=now, nonce=f"em-x-{i}-{obj}",
+                    ))
+                requests.append(requests[0])  # a verbatim replay
+                for request in requests:
+                    oracle = server.handle_request(
+                        request, now=now, write_content=b"w"
+                    )
+                    paired.append(
+                        (service.submit(request, now=now), oracle.decision)
+                    )
+            assert service.drain(timeout=30)
+            revocation = coalition.authority.revoke_certificate(
+                victim, now=now
+            )
+            epoch = service.publish_revocation(revocation, now=now)
+            protocols.append(weakref.ref(epoch.protocol))
+            server.receive_revocation(revocation, now=now)
+            revoked = victim
+            now += 1
+        assert service.drain(timeout=30)
+        _assert_parity(paired)
+        _assert_accounting_identity(service)
+        del paired
+        gc.collect()
+        alive = sum(ref() is not None for ref in protocols)
+        assert alive <= 1 + service.num_shards, alive
+
+    def test_child_drops_epochs_older_than_the_last_eval(self):
+        """Drive the worker child's frame loop directly: once an eval
+        frame is answered, only the newest epoch it named stays, so one
+        protocol is alive however many epochs were shipped."""
+        acls = {"O": SimpleNamespace(acl=None)}
+        request = SimpleNamespace(object_name="O", operation="read", parts=())
+        frames = [("init", 100, [])]
+        for epoch_id in range(12):
+            if epoch_id % 3 == 2:  # ACL-only: a back-reference
+                frames.append(("epoch", epoch_id, None, epoch_id - 1, acls))
+            else:
+                blob = pickle.dumps(_CountedProtocol())
+                frames.append(("epoch", epoch_id, blob, -1, acls))
+            if epoch_id % 2:  # one eval frame names two epochs
+                items = [(e, 5, e, request) for e in (epoch_id - 1, epoch_id)]
+                frames.append(("eval", items))
+        frames.append(("stop",))
+        sent, live_after_eval = [], []
+
+        class Conn:
+            answered = False
+
+            def recv(self):
+                if self.answered:  # the first read after a "done"
+                    self.answered = False
+                    gc.collect()
+                    live_after_eval.append(len(_CountedProtocol.unpickled))
+                return frames.pop(0)
+
+            def send(self, frame):
+                sent.append(frame)
+                self.answered = frame[0] == "done"
+
+        _child_main(Conn(), shard=0)
+        assert sent[-1] == ("stopped",)
+        decisions = [d for _, done in sent[:-1] for _, d, _ in done]
+        assert len(decisions) == 12 and all(d.granted for d in decisions)
+        assert live_after_eval == [1] * 6

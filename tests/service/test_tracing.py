@@ -70,7 +70,7 @@ class TestSpanShapes:
         shed = service.submit(_read(users, cert, "ObjectO", 5, "tr-s1"), now=5)
         assert shed.done()
         trace = service.tracer.find_trace(shed.trace_id)
-        assert trace.child_names() == ["admission", "shed"]
+        assert trace.child_names() == ["admission", "shed", "audit_append"]
         assert trace.find("admission").attrs["outcome"] == "shed"
         assert "overloaded" in trace.find("shed").attrs["reason"]
         service.pump()
@@ -92,49 +92,6 @@ class TestSpanShapes:
         # The epoch pinned at admission is the post-revocation epoch.
         epoch_pin = trace.find("epoch_pin")
         assert epoch_pin.attrs["epoch_id"] == trace.find("admission").attrs["epoch_id"]
-
-    def test_barrier_wait_span_on_nonce_chain(self, service_coalition):
-        """Evaluate a successor before its same-nonce predecessor.
-
-        Pumps decide in admission order (the barrier never fires
-        there), so pop the successor off its queue and evaluate it on a
-        second thread: it must open a ``barrier_wait`` span and block
-        until the predecessor resolves.
-        """
-        import threading
-        import time as _time
-
-        ctx, make_service = service_coalition
-        service = make_service(
-            mode="manual", num_shards=2, dedup=False,
-            tracing=True,
-        )
-        users, cert = ctx["users"], ctx["read_cert"]
-        first = service.submit(_read(users, cert, "ObjectO", 5, "tr-b"), now=5)
-        second = service.submit(_read(users, cert, "ObjectP", 5, "tr-b"), now=5)
-        assert second.predecessor is first
-        assert service._queues[second.shard].drain_all() == [second]
-        worker = threading.Thread(
-            target=service._evaluate_batch, args=([second],)
-        )
-        worker.start()
-        # The barrier span is opened before the blocking wait.
-        deadline = _time.perf_counter() + 10
-        while (
-            second.trace.find("barrier_wait") is None
-            and _time.perf_counter() < deadline
-        ):
-            _time.sleep(0.001)
-        barrier = second.trace.find("barrier_wait")
-        assert barrier is not None
-        assert barrier.attrs["predecessor_seq"] == first.seq
-        service.pump()  # resolves the predecessor, unblocking the worker
-        worker.join(timeout=10)
-        assert not worker.is_alive()
-        assert first.result().granted
-        # Same nonce evaluated second: denied as a replay.
-        assert not second.result().granted
-        assert barrier.duration_s is not None
 
     def test_trace_ids_are_deterministic_per_sequence(self, traced_service):
         ctx, service = traced_service
