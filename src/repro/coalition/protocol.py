@@ -17,9 +17,10 @@ a joint access request:
 * **Step 4** — apply A38 to conclude ``G says "op" O`` and check the
   object's ACL and the certificate validity window.
 
-Steps 1-2 admissions are standing beliefs of the verifier and persist
-in its belief store; Steps 3-4 build their proof steps unstored and
-record only the message receipts they cite, in a request-local
+A Step 1-2 admission leaves its receipt and its conclusion as standing
+beliefs of the verifier, its chain steps in the proof tree only; Steps
+3-4 build their proof steps unstored and record only the message
+receipts they cite, in a request-local
 :class:`~repro.core.store.RequestBeliefs`.  The receipts are kept on
 the decision, and the nonce ledger records their digest so that
 :meth:`AuthorizationProtocol.audit` can tell them from forged ones.
@@ -493,7 +494,8 @@ class AuthorizationProtocol:
     def trusted_premises(self, decision: AuthorizationDecision) -> Set[Formula]:
         """The premises an audit of ``decision`` accepts.
 
-        The verifier's standing beliefs, plus ``decision.receipts`` if
+        The verifier's standing beliefs (premises, and the receipts and
+        conclusions of admitted certificates), plus ``decision.receipts`` if
         they match what the nonce ledger recorded for ``decision.nonce``.
         The record is the verifier's own, so a proof citing a receipt
         never received for that request — fabricated, or another

@@ -2,12 +2,13 @@
 
 A :class:`DerivationEngine` belongs to one verifier (e.g. coalition
 server P).  Its belief store holds the verifier's standing beliefs: the
-initial beliefs (statements 1-11 of Appendix E) and the admission
-chains of certificates and revocations.  A request's signed parts
-record their receipts in a :class:`~repro.core.store.RequestBeliefs`;
-their A10/A19 steps and the group-says conclusion are returned
-unstored, so what one request derives is dropped with its decision.
-The engine exposes
+initial beliefs (statements 1-11 of Appendix E) and, for each admitted
+certificate or revocation, its receipt and its payload conclusion.  The
+A10/A19/A23/A9 steps between them are built into the returned proof
+and stored nowhere.  A request's signed parts record their receipts in
+a :class:`~repro.core.store.RequestBeliefs`; their A10/A19 steps and
+the group-says conclusion are returned unstored, so what one request
+derives is dropped with its decision.  The engine exposes
 exactly the inference moves the authorization protocol needs; every
 conclusion carries a proof tree citing the paper's axioms by name.
 
@@ -204,12 +205,12 @@ class DerivationEngine:
 
         Returns proofs of ``Q says_{t} X`` and ``Q says_{t} <X>_{K^-1}``
         where Q is the believed owner of the signing key (after alias
-        rewriting for shared keys).  With no ``beliefs`` (a certificate
-        admission) the receipt and the four derived steps become
-        standing beliefs, which later jurisdiction steps look up.  A
-        request part passes its :class:`RequestBeliefs`: only the
-        receipt is recorded there, and the four steps are built directly
-        into the returned proofs, since no query ever reads them.
+        rewriting for shared keys).  The receipt goes to ``beliefs``,
+        or with none (a certificate admission) to the standing store,
+        where :meth:`~repro.coalition.protocol.AuthorizationProtocol.audit`
+        trusts it as a premise.  The four derived steps are built
+        directly into the returned proofs and stored nowhere: no query
+        reads them.
         """
         target = self.store if beliefs is None else beliefs
         received_proof = self.receive(signed, received_at, target)
@@ -227,9 +228,6 @@ class DerivationEngine:
         premises = (binding_proof, received_proof)
         said_body_proof = ProofStep(said_body, "A10", premises)
         said_signed_proof = ProofStep(said_signed, "A10", premises)
-        if beliefs is None:
-            said_body_proof = self.store.add(said_body_proof)
-            said_signed_proof = self.store.add(said_signed_proof)
         says_body_proof = ProofStep(
             axioms.a19_said_to_says(said_body, received_at), "A19", (said_body_proof,)
         )
@@ -238,9 +236,6 @@ class DerivationEngine:
             "A19",
             (said_signed_proof,),
         )
-        if beliefs is None:
-            says_body_proof = self.store.add(says_body_proof)
-            says_signed_proof = self.store.add(says_signed_proof)
         return says_body_proof, says_signed_proof
 
     def _rewrite_alias(self, formula: Said) -> Said:
@@ -267,8 +262,11 @@ class DerivationEngine:
            (instances A24-A33 for membership payloads) yields the
            payload itself.
 
-        Returns the proof of the payload.  Raises DerivationError when
-        any required belief is missing or the payload is revoked.
+        Only the receipt and the payload become standing beliefs; steps
+        1-4 live in the returned proof tree.  Returns the proof of the
+        payload (its first proof, if the store already holds it).
+        Raises DerivationError when any required belief is missing or
+        the payload is revoked.
         """
         inner = signed_cert.body
         if not isinstance(inner, Says):
@@ -290,7 +288,7 @@ class DerivationEngine:
         # Step 3: timestamp jurisdiction over "issuer says_t_issue payload".
         located_proof = self._apply_jurisdiction(
             speaker=issuer,
-            utterance=says_inner,
+            utter_proof=says_body_proof,
             target=inner,
             axiom_label="A23",
         )
@@ -305,28 +303,27 @@ class DerivationEngine:
         )
         payload_located = self._apply_jurisdiction(
             speaker=issuer,
-            utterance=inner_proof.conclusion,
+            utter_proof=inner_proof,
             target=payload,
             axiom_label=axiom_label,
         )
-        return self._strip_location(payload_located)
+        return self.store.add(self._strip_location(payload_located))
 
     def _apply_jurisdiction(
         self,
         speaker: object,
-        utterance: Says,
+        utter_proof: ProofStep,
         target: Formula,
         axiom_label: str,
     ) -> ProofStep:
         """Find a controls-belief matching ``target`` and apply A22/A23.
 
-        ``utterance`` must be a believed ``speaker says ...`` whose body
-        is ``target`` (or the utterance *is* the says-formula being
-        controlled, for timestamp jurisdiction).
+        ``utter_proof`` must prove a ``speaker says ...`` whose body is
+        ``target`` (or the utterance *is* the says-formula being
+        controlled, for timestamp jurisdiction).  The located step is
+        returned unstored.
         """
-        utter_proof = self.store.proof_of(utterance)
-        if utter_proof is None:
-            raise DerivationError(f"no believed utterance {utterance}")
+        utterance = utter_proof.conclusion
         if utterance.body != target:
             raise DerivationError(
                 "jurisdiction target must be the utterance's content"
@@ -370,9 +367,7 @@ class DerivationEngine:
                     self.owner,
                 ),
             )
-            return self.store.add(
-                ProofStep(located_here, axiom_label, (inst_proof, utter_proof))
-            )
+            return ProofStep(located_here, axiom_label, (inst_proof, utter_proof))
         raise DerivationError(
             f"{self.owner} holds no jurisdiction belief of {speaker} "
             f"covering: {target}"
@@ -384,9 +379,7 @@ class DerivationEngine:
         if not isinstance(located, At) or located.place != self.owner:
             raise DerivationError("can only strip a location at the verifier")
         self._steps_taken.inc()
-        return self.store.add(
-            ProofStep(located.body, "A9", (located_proof,), note="A3/A9 reduction")
-        )
+        return ProofStep(located.body, "A9", (located_proof,), note="A3/A9 reduction")
 
     # --------------------------------------------------------- revocation
 

@@ -2,9 +2,10 @@
 
 Holds the principal's standing beliefs, each paired with the proof step
 that produced it: the initial beliefs (statements 1-11 of Appendix E)
-and the admission chains of certificates and revocations.  The message
-receipts one request records live in a :class:`RequestBeliefs`, which
-is dropped with the decision.  Supports
+and each admitted certificate's or revocation's receipt and payload
+conclusion; the chain steps between them live in the proof tree only.
+The message receipts one request records live in a
+:class:`RequestBeliefs`, which is dropped with the decision.  Supports
 pattern queries (used to find jurisdiction schemas and key bindings),
 negative-belief tracking for revocation ("believe until revoked",
 Section 4.3) and a per-key memo of the key bindings and their

@@ -22,8 +22,8 @@ epochs**:
 
 A fork copies the store's belief map (O(beliefs) pointer copies) and
 shares its index buckets copy-on-write.  The store holds standing
-beliefs only — premises plus certificate and revocation admission
-chains, never per-request derivations — so publish cost follows the
+beliefs only — premises, plus the receipt and conclusion of each
+admitted certificate or revocation — so publish cost follows the
 certificate population, not the number of requests served.
 """
 

@@ -13,7 +13,9 @@ import pytest
 
 from repro.coalition import ACLEntry, build_joint_request
 from repro.core import ProofCheckError, check_proof
+from repro.core.formulas import Not, Received, SpeaksForGroup
 from repro.core.store import RequestBeliefs
+from repro.core.temporal import Temporal
 from repro.pki import ValidityPeriod
 from repro.service import AuthorizationService
 
@@ -125,9 +127,63 @@ class TestRevocationCostFollowsCertificates:
         cost_at_10 = revocation_cost(first[0])
         size_at_10 = len(protocol.engine.store)
         later = admit(190)
-        # Each certificate's admission chain is a standing belief.
-        assert len(protocol.engine.store) - size_at_10 >= 190
+        # Each certificate's receipt and payload are standing beliefs;
+        # its admission chain lives in the proof tree only.
+        assert len(protocol.engine.store) - size_at_10 == 2 * 190
         assert revocation_cost(later[0]) == cost_at_10
+
+
+class TestAdmissionFootprint:
+    """An admission stores its receipt and its conclusion, nothing between."""
+
+    @staticmethod
+    def _receipt(protocol, cert, now):
+        verifier = protocol.engine.owner
+        return Received(verifier, Temporal.point(now, verifier), cert.idealize())
+
+    @pytest.fixture()
+    def granted(self, formed_coalition, read_certificate):
+        # A first grant admits the users' identity certificates, so a
+        # later certificate's admission adds its own beliefs only.
+        coalition, server, _d, users = formed_coalition
+        protocol = server.protocol
+        acl = server.object_acl("ObjectO")
+        warm = _read(users, read_certificate, "warm")
+        assert protocol.authorize(warm, acl, now=5).granted
+        cert = _issue_read_cert(coalition, users, until=2_000)
+        before = set(protocol.engine.store)
+        assert protocol.authorize(_read(users, cert, "first"), acl, now=5).granted
+        added = set(protocol.engine.store) - before
+        return coalition, protocol, acl, users, cert, added
+
+    def test_first_grant_adds_receipt_and_membership(self, granted):
+        _c, protocol, _acl, _users, cert, added = granted
+        membership = cert.idealize().body.body
+        assert isinstance(membership, SpeaksForGroup)
+        assert added == {self._receipt(protocol, cert, 5), membership}
+
+    def test_revocation_adds_receipt_and_negation(self, granted):
+        coalition, protocol, _acl, _users, cert, _added = granted
+        revocation = coalition.authority.revoke_certificate(cert, now=6)
+        before = set(protocol.engine.store)
+        protocol.apply_revocation(revocation, now=6)
+        negation = revocation.idealize().body.body
+        assert isinstance(negation, Not)
+        assert set(protocol.engine.store) - before == {
+            self._receipt(protocol, revocation, 6),
+            negation,
+        }
+
+    def test_revoked_certificate_represented_adds_its_receipt(self, granted):
+        coalition, protocol, acl, users, cert, _added = granted
+        revocation = coalition.authority.revoke_certificate(cert, now=6)
+        protocol.apply_revocation(revocation, now=6)
+        before = set(protocol.engine.store)
+        again = protocol.authorize(_read(users, cert, "again", now=7), acl, now=7)
+        assert not again.granted
+        assert set(protocol.engine.store) - before == {
+            self._receipt(protocol, cert, 7)
+        }
 
 
 class TestAuditTrustsOwnReceipts:
