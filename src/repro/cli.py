@@ -171,7 +171,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             num_shards=args.shards,
             queue_depth=args.queue_depth,
             freshness_window=10**9,
-            mode=args.mode,
         ),
         num_objects=args.objects,
         key_bits=args.bits,
@@ -199,7 +198,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 handle_file.write(str(handle.port))
         print(
             f"edge listening on {handle.host}:{handle.port} "
-            f"({args.shards} shards, mode={args.mode})",
+            f"({args.shards} shards)",
             flush=True,
         )
         stop.wait()
@@ -348,7 +347,7 @@ def _cmd_health(args: argparse.Namespace) -> int:
     Exit code is the readiness verdict: 0 when every shard is ready for
     new traffic, 1 otherwise — so the subcommand doubles as a scriptable
     health check.  ``--chaos-*`` flags inject deterministic faults to
-    demonstrate supervised degradation (E16).
+    demonstrate degradation under faults (E16).
     """
     import json
 
@@ -368,7 +367,6 @@ def _cmd_health(args: argparse.Namespace) -> int:
         num_shards=args.shards,
         queue_depth=args.queue_depth,
         freshness_window=10**9,
-        restart_backoff_s=0.01,
         chaos=chaos,
     )
     try:
@@ -385,8 +383,7 @@ def _cmd_health(args: argparse.Namespace) -> int:
             ready = probe["readiness"]
             print(
                 f"liveness:  live={live['live']} "
-                f"workers_alive={live['workers_alive']}/{live['total_shards']} "
-                f"supervisor_alive={live['supervisor_alive']}"
+                f"workers_alive={live['workers_alive']}/{live['total_shards']}"
             )
             print(
                 f"readiness: ready={ready['ready']} "
@@ -608,9 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--queue-depth", type=int, default=256)
     serve_cmd.add_argument("--objects", type=int, default=8)
     serve_cmd.add_argument("--bits", type=int, default=256)
-    serve_cmd.add_argument(
-        "--mode", choices=["threaded", "process"], default="threaded"
-    )
     serve_cmd.add_argument("--drain-timeout", type=float, default=30.0)
     serve_cmd.add_argument(
         "--client-bundle", default="", metavar="PATH",
@@ -730,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--seed", type=int, default=0)
     scenario.add_argument("--shards", type=int, default=2)
     scenario.add_argument(
-        "--mode", choices=["threaded", "process", "manual"],
+        "--mode", choices=["threaded", "manual"],
         default="manual",
         help="service mode (manual replays deterministically)",
     )

@@ -79,15 +79,14 @@ class NonceLedger:
     A nonce only needs remembering while a replay could still pass the
     staleness check, i.e. until ``stated_at + window < now``; entries map
     to their forget-after time and a deque drives expiry.  The ledger is
-    lock-protected so protocol forks of successive epochs and process
-    workers (:mod:`repro.service`) can share one global replay window —
-    replay protection must span shards and epochs, unlike belief state.
+    lock-protected so protocol forks of successive epochs
+    (:mod:`repro.service`) can share one global replay window — replay
+    protection must span shards and epochs, unlike belief state.
 
     The ledger also keeps a digest of the message receipts each
     accepted request recorded, forgotten with its nonce: an audit trusts
     a decision's receipts only if they match it (see
-    :meth:`AuthorizationProtocol.trusted_premises`).  That record is
-    local to this process and does not travel with :meth:`entries`.
+    :meth:`AuthorizationProtocol.trusted_premises`).
     """
 
     def __init__(self, freshness_window: int = DEFAULT_FRESHNESS_WINDOW):
@@ -134,44 +133,6 @@ class NonceLedger:
                     self._receipts.pop(nonce, None)
                     purged += 1
         return purged
-
-    def entries(self) -> List[Tuple[str, int]]:
-        """A consistent ``(nonce, forget_after)`` snapshot of the ledger.
-
-        Process-mode shard workers (:mod:`repro.service.procworker`)
-        use this to seed a replacement worker's replay window with
-        every nonce the service has already accepted — a restarted
-        process must keep denying replays of pre-crash grants.
-        """
-        with self._lock:
-            return list(self._seen.items())
-
-    def absorb(self, entries: List[Tuple[str, int]]) -> None:
-        """Merge ``(nonce, forget_after)`` pairs from another ledger."""
-        with self._lock:
-            for nonce, forget_after in entries:
-                if self._seen.get(nonce, -1) < forget_after:
-                    self._seen[nonce] = forget_after
-                    self._expiry.append((forget_after, nonce))
-
-    # The ledger travels inside pickled epoch snapshots when shard
-    # workers run as separate processes; the lock and the receipt
-    # record are process-local state (a process-mode decision ships
-    # without its proof, so there is nothing to audit against them).
-    def __getstate__(self):
-        with self._lock:
-            return {
-                "freshness_window": self.freshness_window,
-                "_seen": dict(self._seen),
-                "_expiry": list(self._expiry),
-            }
-
-    def __setstate__(self, state) -> None:
-        self.freshness_window = state["freshness_window"]
-        self._seen = state["_seen"]
-        self._expiry = deque(state["_expiry"])
-        self._receipts = {}
-        self._lock = threading.Lock()
 
 
 @dataclass

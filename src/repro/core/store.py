@@ -219,9 +219,6 @@ class BeliefStore:
         """Record an initial belief (an axiom of this principal's state)."""
         return self.add(ProofStep(conclusion=formula, rule="premise", note=note))
 
-    def proof_of(self, formula: Formula) -> Optional[ProofStep]:
-        return self._beliefs.get(formula)
-
     # ------------------------------------------------------ index probes
 
     def _candidates(self, schema: object) -> List[_Entry]:

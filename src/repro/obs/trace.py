@@ -5,8 +5,8 @@ chain of axiom applications — so a production serving layer owes the
 same explainability per request: why was request R granted, under
 which epoch, after how long in queue?  A :class:`TraceSpan` tree
 records exactly that.  The service threads one root span per ticket
-through admission, queue wait, epoch pin, shard evaluation (derivation
-with axiom names and proof-step counts), and audit append; the trace
+through admission, queue wait, epoch pin, derivation (with axiom
+names and proof-step counts), and audit append; the trace
 id lands in the hash-chained audit entry so auditors can join the two
 records.
 
@@ -152,7 +152,7 @@ class Tracer:
         self.export_path = export_path
         self._buffer: Deque[TraceSpan] = deque(maxlen=buffer_size)
         self._lock = threading.Lock()
-        # Export I/O runs under its own lock so shard workers recording
+        # Export I/O runs under its own lock so submitters recording
         # spans never serialize behind a disk write; the handle is
         # opened once, lazily, and line-buffered so each trace is
         # visible to tail-readers as soon as it is written.

@@ -3,15 +3,15 @@
 Sits in front of :class:`repro.coalition.protocol.AuthorizationProtocol`
 and provides what a single per-request protocol instance cannot:
 
-* shards keyed by resource, decided on the submitting thread or in
-  per-shard worker processes (``sharding``),
+* shards keyed by resource, partitioning admission and decided on the
+  submitting thread (``sharding``),
 * immutable epoch snapshots of policy state, one protocol per epoch
   shared by every shard, so revocations and ACL changes apply
   atomically and once (``epoch``),
 * bounded admission queues with typed ``Overloaded`` load shedding and
   in-flight dedup (``admission``),
 * per-ticket fault isolation (typed ``Errored`` outcomes), restart
-  budgets with circuit breaking (``supervisor``), liveness and
+  budgets with circuit breaking (``admission``), liveness and
   readiness probes (``health``), and a deterministic fault injector for
   adversarial testing (``chaos``),
 * an asyncio TCP front door speaking a length-prefixed JSON protocol
@@ -23,11 +23,12 @@ and provides what a single per-request protocol instance cannot:
   invariants (``scenarios``).
 
 See DESIGN.md §9 for the architecture and request lifecycle, §11 for
-the supervision and failure model, §14 for the network edge, §15 for
-the scenario engine.
+the failure model, §14 for the network edge, §15 for the scenario
+engine.
 """
 
 from .admission import (
+    CircuitBreaker,
     CircuitOpen,
     Errored,
     Overloaded,
@@ -51,7 +52,6 @@ from .scenarios import (
 )
 from .service import AuthorizationService, ServiceError
 from .sharding import shard_for, shard_key
-from .supervisor import CircuitBreaker, RestartEvent, WorkerSupervisor
 from .wire import ClientBundle, EdgeClient, ProtocolError
 
 __all__ = [
@@ -92,6 +92,4 @@ __all__ = [
     "shard_for",
     "shard_key",
     "CircuitBreaker",
-    "RestartEvent",
-    "WorkerSupervisor",
 ]

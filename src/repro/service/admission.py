@@ -26,6 +26,7 @@ from ..coalition.requests import JointAccessRequest
 __all__ = [
     "Overloaded",
     "CircuitOpen",
+    "CircuitBreaker",
     "Errored",
     "Ticket",
     "ShardQueue",
@@ -58,10 +59,49 @@ class CircuitOpen(Overloaded):
     Issued both at admission time (new requests for a failed shard)
     and by the give-up failover that resolves the tickets a failed
     shard had already queued.  ``restarts`` records how many restarts
-    the shard burned before the supervisor gave up on it.
+    the shard burned before its breaker gave up on it.
     """
 
     restarts: int = 0
+
+
+class CircuitBreaker:
+    """Per-shard crash budget: closed (serving) or open (shedding).
+
+    A crash within the budget is a logical restart: the decider keeps
+    draining the shard's queue.  The crash after ``max_restarts``
+    restarts trips the breaker open, and it stays open — give-up is
+    terminal for a shard; the service sheds its traffic with typed
+    :class:`CircuitOpen` decisions instead of crash-looping.  Only the
+    decider (under the service's decision lock) records crashes.
+    """
+
+    def __init__(self, max_restarts: int = 3):
+        if max_restarts < 0:
+            raise ValueError("max_restarts must be >= 0")
+        self.max_restarts = max_restarts
+        self.crashes = 0
+        self.restarts = 0
+        self.last_error = ""
+        self.is_open = False
+
+    @property
+    def state(self) -> str:
+        return "open" if self.is_open else "closed"
+
+    def record_crash(self, error_type: str) -> bool:
+        """Account one crash; return whether it tripped the breaker.
+
+        True means the budget is spent: the breaker is now open and the
+        caller must fail the shard over rather than restart it.
+        """
+        self.crashes += 1
+        self.last_error = error_type
+        if self.crashes > self.max_restarts:
+            self.is_open = True
+            return True
+        self.restarts += 1
+        return False
 
 
 @dataclass
@@ -70,7 +110,7 @@ class Errored(AuthorizationDecision):
 
     Per-ticket fault isolation (DESIGN.md §11) converts an exception
     inside the evaluation path into this decision instead of letting
-    it kill the shard worker.  ``granted`` is always False — fail
+    it escape the decider.  ``granted`` is always False — fail
     closed — and ``error_type`` records the exception class so callers
     and metrics can distinguish "denied by policy" from "errored".
     """
@@ -88,12 +128,6 @@ class Ticket:
 
     Carries the admission-time pinning (epoch, shard, global sequence
     number) plus wall-clock timestamps for latency percentiles.
-    ``predecessor`` is set in process mode only: the previous in-flight
-    ticket sharing a nonce, which the shard's dispatcher waits for
-    before shipping this one, so replay semantics match a sequential
-    server even when the two requests landed on different shards'
-    worker processes.  The other modes decide in sequence order and
-    leave it ``None``.
     """
 
     __slots__ = (
@@ -102,7 +136,6 @@ class Ticket:
         "epoch",
         "shard",
         "seq",
-        "predecessor",
         "coalesced",
         "submitted_at",
         "completed_at",
@@ -110,8 +143,6 @@ class Ticket:
         "queue_span",
         "_decision",
         "_done",
-        "_callbacks",
-        "_cb_lock",
     )
 
     def __init__(
@@ -127,7 +158,6 @@ class Ticket:
         self.epoch = epoch
         self.shard = shard
         self.seq = seq
-        self.predecessor: Optional["Ticket"] = None
         self.coalesced = 0  # extra submitters served by this evaluation
         self.submitted_at = time.perf_counter()
         self.completed_at: Optional[float] = None
@@ -138,11 +168,6 @@ class Ticket:
         self.queue_span = None
         self._decision: Optional[AuthorizationDecision] = None
         self._done = threading.Event()
-        # Completion callbacks (see add_done_callback): None until the
-        # first registration, swapped back to None when resolve() runs
-        # them, so the common no-callback ticket allocates nothing.
-        self._callbacks = None
-        self._cb_lock = threading.Lock()
 
     @property
     def trace_id(self) -> str:
@@ -152,35 +177,6 @@ class Ticket:
         self._decision = decision
         self.completed_at = time.perf_counter()
         self._done.set()
-        with self._cb_lock:
-            callbacks, self._callbacks = self._callbacks, None
-        for fn in callbacks or ():
-            try:
-                fn(decision)
-            except Exception:  # noqa: BLE001 - callbacks must not hurt workers
-                # A callback is a foreign waiter (e.g. the edge's event
-                # loop, possibly already closed).  Its failure must not
-                # poison the resolving worker's accounting path.
-                pass
-
-    def add_done_callback(self, fn) -> None:
-        """Run ``fn(decision)`` once this ticket resolves.
-
-        Runs immediately (on the calling thread) when the ticket is
-        already done; otherwise on the resolving thread, inline with
-        :meth:`resolve`.  Callbacks must be quick and non-blocking —
-        the network edge uses this to wake an asyncio future via
-        ``call_soon_threadsafe`` instead of parking a waiter thread per
-        in-flight request.  Each callback runs exactly once; exceptions
-        are swallowed (a dead waiter must not kill a shard worker).
-        """
-        with self._cb_lock:
-            if not self._done.is_set():
-                if self._callbacks is None:
-                    self._callbacks = []
-                self._callbacks.append(fn)
-                return
-        fn(self._decision)
 
     def done(self) -> bool:
         return self._done.is_set()
@@ -210,7 +206,6 @@ class ShardQueue:
         self.depth = depth
         self._items: Deque[Ticket] = deque()
         self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
 
     def __len__(self) -> int:
         with self._lock:
@@ -222,14 +217,13 @@ class ShardQueue:
             if len(self._items) >= self.depth:
                 return False
             self._items.append(ticket)
-            self._not_empty.notify()
             return True
 
     def try_push_batch(self, tickets: "list[Ticket]") -> int:
         """Admit a prefix of ``tickets``; return how many fit.
 
-        One lock acquisition and one condvar notify for the whole
-        batch — the amortization ``submit_batch`` relies on.  Tickets
+        One lock acquisition for the whole batch — the amortization
+        ``submit_batch`` relies on.  Tickets
         past the remaining capacity are *not* queued; the caller sheds
         them (FIFO order within the batch is preserved: the accepted
         prefix is exactly ``tickets[:returned]``).
@@ -240,14 +234,13 @@ class ShardQueue:
                 return 0
             accepted = tickets[:room]
             self._items.extend(accepted)
-            self._not_empty.notify()
             return len(accepted)
 
     def push_front_batch(self, tickets: "list[Ticket]") -> None:
         """Return un-evaluated tickets to the *head* of the queue.
 
-        The crash path uses this: a worker that dies mid-batch hands
-        its untouched remainder back so the replacement worker sees the
+        A decider that stops mid-batch (a crash, or a pump limit) hands
+        its untouched remainder back so the next drain sees the
         original admission order (a plain ``try_push`` would file them
         behind tickets admitted later).  Deliberately ignores ``depth``
         — these tickets were already admitted once and must not be
@@ -256,50 +249,10 @@ class ShardQueue:
         with self._lock:
             for ticket in reversed(tickets):
                 self._items.appendleft(ticket)
-            if self._items:
-                self._not_empty.notify()
-
-    def pop_batch(
-        self,
-        max_batch: int,
-        timeout: Optional[float] = None,
-        stop: Optional[threading.Event] = None,
-    ) -> "list[Ticket]":
-        """Drain up to ``max_batch`` tickets in one condvar wakeup.
-
-        Blocks only while the queue is *empty* (until an item arrives or
-        :meth:`wake` is called — no polling; ``stop`` short-circuits
-        the wait when a shutdown was requested before it): the
-        moment at least one ticket is available, everything queued — up
-        to ``max_batch`` — is taken under a single lock acquisition,
-        without waiting for more arrivals.  So a burst is drained in
-        one wakeup, while a lone ticket still departs immediately
-        (batching never adds latency, it only amortizes lock/condvar
-        traffic that was already being paid per ticket).
-
-        Returns ``[]`` on timeout, on a :meth:`wake` with nothing
-        queued, or when ``stop`` was set before the wait — a partial
-        (possibly empty) batch, never a lost ticket.
-        """
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        with self._lock:
-            if not self._items:
-                if stop is not None and stop.is_set():
-                    return []
-                self._not_empty.wait(timeout)
-            if not self._items:
-                return []
-            take = min(max_batch, len(self._items))
-            return [self._items.popleft() for _ in range(take)]
-
-    def wake(self) -> None:
-        """Nudge any blocked :meth:`pop_batch` (shutdown / supervision)."""
-        with self._lock:
-            self._not_empty.notify_all()
 
     def drain_all(self) -> "list[Ticket]":
-        """Remove and return every queued ticket (give-up failover)."""
+        """Remove and return every queued ticket (a decider's take, or
+        give-up failover)."""
         with self._lock:
             items = list(self._items)
             self._items.clear()

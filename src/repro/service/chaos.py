@@ -1,6 +1,6 @@
 """Deterministic, seedable fault injection for the serving layer.
 
-The availability claims of the supervision layer (DESIGN.md §11) are
+The availability claims of the breaker layer (DESIGN.md §11) are
 only as good as the faults they were tested against, so this module
 provides a :class:`FaultInjector` the service consults on its hot
 path: once per evaluation (:meth:`FaultInjector.before_evaluate`) and
@@ -14,12 +14,12 @@ Every fault kind is reproducible:
   typed ``Errored`` decision and the worker must keep draining.
 * **slow-evaluate** — sleep ``slow_s`` inside every ``slow_every``-th
   evaluation.  Exercises queue backpressure and latency tails.
-* **worker-kill** — raise :class:`WorkerKilled` so the shard's worker
-  crashes outright: a logical restart in threaded and manual modes, a
-  dead worker process in process mode.  ``WorkerKilled`` derives from
-  ``BaseException`` *on purpose*: per-ticket isolation catches
-  ``Exception``, so a kill cannot be absorbed as a mere errored ticket
-  — it must travel the crash/supervision path.  ``kill_in_flight``
+* **worker-kill** — raise :class:`WorkerKilled` so the shard's decider
+  crashes outright: a logical restart charged to the shard's circuit
+  breaker.  ``WorkerKilled`` derives from ``BaseException`` *on
+  purpose*: per-ticket isolation catches ``Exception``, so a kill
+  cannot be absorbed as a mere errored ticket — it must travel the
+  crash path.  ``kill_in_flight``
   kills mid-evaluation (a ticket in hand); otherwise the worker dies
   at the loop top after ``kill_after`` processed tickets.
 * **scripted actions** — :meth:`FaultInjector.at` runs an arbitrary
@@ -27,12 +27,9 @@ Every fault kind is reproducible:
   prove admission-time pinning holds under churn).
 
 Counting faults (``raise_every``, ``at``) are deterministic given the
-evaluation order; in the ``manual`` and single-submitter ``threaded``
-service modes that order is the admission order, so runs replay
-exactly.  Probabilistic faults (``raise_prob``) draw from one
-``random.Random(seed)`` stream: the *number* of faults is reproducible
-there, and in process mode the stream still makes runs statistically
-comparable.
+evaluation order; the service decides in admission order, so runs
+replay exactly.  Probabilistic faults (``raise_prob``) draw from one
+``random.Random(seed)`` stream, so they replay too.
 """
 
 from __future__ import annotations

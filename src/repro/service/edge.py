@@ -27,15 +27,15 @@ opportunity to change it.
 
 Concurrency shape: the event loop owns parsing, deciding and writing.
 A threaded service decides each tick's batch inside ``submit_batch``,
-on the loop thread, so the edge resolves every future directly.  Only
-a process-mode service resolves tickets elsewhere (its result-pump
-threads), and those wake the loop via ``Ticket.add_done_callback`` →
-``loop.call_soon_threadsafe`` — no waiter thread per in-flight
-request, no polling.  Each connection pipelines: responses go out in
-completion order, correlated by the request ``id`` the client sent.
-The responses of one connection that resolve in the same loop tick
-leave as one ``write`` and one ``drain``, serialized by a
-per-connection write lock.
+on the loop thread, so the edge resolves every future directly.  A
+manual-mode service (tests drive one to hold tickets queued) decides
+only when its caller pumps; a daemon thread waits for each such ticket
+and hands the decision back through ``loop.call_soon_threadsafe``.
+Each connection pipelines: responses go out in completion order,
+correlated by the request ``id`` the client sent.  The responses of
+one connection that resolve in the same loop tick leave as one
+``write`` and one ``drain``, serialized by a per-connection write
+lock.
 
 Shutdown is drain-first (``SIGTERM`` in the CLI): stop accepting,
 let in-flight tickets resolve, flush their responses, then close.
@@ -273,9 +273,8 @@ class EdgeServer:
         """Admit and decide everything that arrived this tick in one batch.
 
         A threaded service decides the batch on this (the loop) thread
-        and returns resolved tickets; a process-mode service admits
-        without blocking (bounded queues shed instead of waiting) and
-        resolves on its result-pump threads.
+        and returns resolved tickets; a manual-mode service returns the
+        admitted ones pending until its caller pumps.
         """
         self._flush_scheduled = False
         pending, self._pending = self._pending, []
@@ -283,22 +282,27 @@ class EdgeServer:
             return
         self._batches.inc()
         self._batched_requests.inc(len(pending))
-        loop = self._loop
         tickets = self.service.submit_batch(
             [(request, now) for request, now, _ in pending]
         )
         for ticket, (_, _, future) in zip(tickets, pending):
             if ticket.done():
                 self._resolve_future(future, ticket.result(0))
-                continue
+            else:
+                threading.Thread(
+                    target=self._await_pump, args=(ticket, future),
+                    daemon=True,
+                ).start()
 
-            def _wake(decision, future=future):
-                # Runs on the resolving result-pump thread; hop back
-                # to the loop.  A loop that died mid-flight raises
-                # RuntimeError here, which Ticket.resolve swallows.
-                loop.call_soon_threadsafe(self._resolve_future, future, decision)
-
-            ticket.add_done_callback(_wake)
+    def _await_pump(self, ticket, future: "asyncio.Future") -> None:
+        """Wait for a manual-mode pump, then resolve on the loop."""
+        decision = ticket.result()
+        try:
+            self._loop.call_soon_threadsafe(
+                self._resolve_future, future, decision
+            )
+        except RuntimeError:  # the loop closed while the ticket waited
+            pass
 
     def _resolve_future(self, future: "asyncio.Future", decision) -> None:
         self._in_flight -= 1

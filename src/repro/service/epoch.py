@@ -111,8 +111,7 @@ class EpochManager:
     def staleness_of(self, epoch_id: int) -> int:
         """How many epochs behind ``current`` an observed id is (>= 0).
 
-        Health probes use this for queued-ticket and restarted-worker
-        epoch staleness; the reference is a single read of the current
+        Health probes use this for queued-ticket epoch staleness; the reference is a single read of the current
         epoch, so no lock is needed.
         """
         return max(0, self._epoch.epoch_id - epoch_id)

@@ -1,25 +1,21 @@
 """Liveness and readiness probes for the authorization service.
 
-A supervised service (DESIGN.md §11) has more failure states than
-"up" or "down": a shard can be serving, backlogged, mid-restart
-(backoff pending), or failed with its circuit breaker open.  This
-module condenses that into the two questions an operator's probe
-actually asks:
+A service with per-shard circuit breakers (DESIGN.md §11) has more
+failure states than "up" or "down": a shard can be serving,
+backlogged, or failed with its breaker open.  This module condenses
+that into the two questions an operator's probe actually asks:
 
 * **liveness** — is the service making progress at all?  A shard
-  counts as live while it can decide (its worker process runs, or, in
-  threaded and manual modes, the service is open and the breaker
-  closed), while a supervisor restart is pending, or when its breaker
-  is open (a failed-over shard still *answers* — with typed sheds — it
-  just doesn't evaluate).  Only a dead worker process nobody will
-  restart makes the service not-live.
+  counts as live while it can decide (the service is open and its
+  breaker closed) or when its breaker is open (a failed-over shard
+  still *answers* — with typed sheds — it just doesn't evaluate).
 * **readiness** — should new traffic be routed here?  A shard is ready
-  only when its breaker is closed, its queue has room, and it can
-  decide (or its worker process is about to be restarted).
+  only when its breaker is closed, its queue has room, and the service
+  is open.
 
-Probes read live service state (queue lengths, process liveness,
-breaker counters, epoch ids) without taking the admission lock, so
-they are safe to call from a monitoring thread at any rate.
+Probes read live service state (queue lengths, breaker counters, epoch
+ids) without taking the admission lock, so they are safe to call from
+a monitoring thread at any rate.
 """
 
 from __future__ import annotations
@@ -45,19 +41,17 @@ class ShardHealth:
 
     shard: int
     worker_alive: bool
-    restart_pending: bool
     queue_depth: int
     queue_limit: int
     crashes: int
     restarts: int
     breaker: str  # "closed" (serving) or "open" (failed over)
-    pinned_epoch_id: int  # epoch the worker was (re)started against
     epoch_staleness: int  # epochs behind current the oldest work runs at
 
     @property
     def live(self) -> bool:
-        """Progress is being (or will be) made, or failure is decided."""
-        return self.worker_alive or self.restart_pending or self.breaker == "open"
+        """Progress is being made, or failure is decided."""
+        return self.worker_alive or self.breaker == "open"
 
     @property
     def ready(self) -> bool:
@@ -65,48 +59,36 @@ class ShardHealth:
         return (
             self.breaker == "closed"
             and self.queue_depth < self.queue_limit
-            and (self.worker_alive or self.restart_pending)
+            and self.worker_alive
         )
 
 
 def shard_health(service: "AuthorizationService") -> List[ShardHealth]:
     """Probe every shard.
 
-    Threaded and manual modes decide on the caller's thread: a shard
-    there is alive while the service is open and its breaker closed.
+    Shards decide on the caller's thread: a shard is alive while the
+    service is open and its breaker closed.
     """
     current_epoch = service.epochs.current.epoch_id
-    supervisor = service.supervisor
     out: List[ShardHealth] = []
     for shard in range(service.num_shards):
-        worker = service._workers[shard]
         breaker = service._breakers[shard]
-        if service.mode == "process":
-            alive = worker is not None and worker.is_alive()
-            pinned = worker.epoch_id if worker is not None else current_epoch
-        else:
-            alive = not service._closed and not breaker.is_open
-            pinned = current_epoch
         queue = service._queues[shard]
         # Staleness is measured at the oldest pending *work*: the head
         # queued ticket's admission-pinned epoch.  An idle shard has no
         # stale work (its next ticket pins the current epoch), so it
-        # reports 0 regardless of when its worker last (re)started.
+        # reports 0.
         head_epoch = queue.head_epoch_id()
         observed = head_epoch if head_epoch is not None else current_epoch
         out.append(
             ShardHealth(
                 shard=shard,
-                worker_alive=alive,
-                restart_pending=(
-                    supervisor is not None and supervisor.restart_pending(shard)
-                ),
+                worker_alive=not service._closed and not breaker.is_open,
                 queue_depth=len(queue),
                 queue_limit=queue.depth,
                 crashes=breaker.crashes,
                 restarts=breaker.restarts,
                 breaker=breaker.state,
-                pinned_epoch_id=pinned,
                 epoch_staleness=service.epochs.staleness_of(observed),
             )
         )
@@ -116,11 +98,9 @@ def shard_health(service: "AuthorizationService") -> List[ShardHealth]:
 def liveness(service: "AuthorizationService") -> Dict[str, object]:
     """The "is it stuck" probe: False means work can strand."""
     shards = shard_health(service)
-    supervisor = service.supervisor
     return {
         "live": all(s.live for s in shards) and not service._closed,
         "workers_alive": sum(s.worker_alive for s in shards),
-        "supervisor_alive": supervisor is not None and supervisor.is_alive(),
         "total_shards": len(shards),
     }
 
@@ -143,7 +123,6 @@ def health_report(service: "AuthorizationService") -> Dict[str, object]:
     return {
         "name": service.name,
         "mode": service.mode,
-        "supervised": service._supervise,
         "liveness": liveness(service),
         "readiness": readiness(service),
         "shards": [

@@ -490,8 +490,8 @@ class ScenarioRunner:
     ``transport="edge"`` routes request traffic through a real TCP
     connection via :class:`~repro.service.wire.EdgeClient` (operator
     events — membership, revocation — stay in-process, as they would in
-    a deployment's control plane); it requires a worker mode, threaded
-    or process (in manual mode nothing would decide the edge's tickets).
+    a deployment's control plane); it requires threaded mode (in manual
+    mode nothing would decide the edge's tickets).
     """
 
     def __init__(
@@ -504,8 +504,8 @@ class ScenarioRunner:
     ):
         if transport not in ("inproc", "edge"):
             raise ValueError(f"unknown transport {transport!r}")
-        if transport == "edge" and mode not in ("threaded", "process"):
-            raise ValueError("edge transport requires a worker mode")
+        if transport == "edge" and mode != "threaded":
+            raise ValueError("edge transport requires a worker mode: threaded")
         self.mode = mode
         self.num_shards = num_shards
         self.transport = transport
@@ -541,7 +541,6 @@ class ScenarioRunner:
             freshness_window=spec.freshness_window,
             mode=self.mode,
             chaos=chaos,
-            restart_backoff_s=0.005,
         )
         oracle: Optional[CoalitionServer] = None
         if spec.oracle_feasible:

@@ -1,11 +1,11 @@
-"""The sharded, epoched, backpressured, supervised authorization service.
+"""The sharded, epoched, backpressured authorization service.
 
 :class:`AuthorizationService` is the serving layer in front of
 :class:`~repro.coalition.protocol.AuthorizationProtocol`:
 
 * **Sharding** — requests route by resource key to one of N shards,
-  which partition admission (queues, breakers, dedup tables, process
-  workers); one object's traffic stays ordered.
+  which partition admission (queues, breakers, dedup tables); one
+  object's traffic stays ordered.
 * **Epochs** — policy state (trust anchors, ACLs, revocations) is
   pinned at admission; each epoch holds one protocol that every shard
   decides against, so a revocation is forked and applied once; see
@@ -16,33 +16,26 @@
 * **Dedup** — identical concurrent submissions coalesce onto one
   evaluation (optional, on by default).
 * **Replay parity** — one nonce ledger spans all shards and epochs, and
-  threaded and manual modes decide every ticket in global sequence
-  order, so grant/deny decisions are byte-identical to a single
-  sequential protocol evaluating the same admission stream.  Process
-  mode, whose shard deciders run in parallel, chains same-nonce
-  tickets instead: a dispatcher ships a ticket only after its
-  predecessor resolved.
-* **Supervision** — per-ticket fault isolation converts evaluation
-  exceptions into typed :class:`~repro.service.admission.Errored`
-  decisions; every shard has a
-  :class:`~repro.service.supervisor.CircuitBreaker` restart budget, and
-  a shard that exhausts it fails over: queued and future requests shed
-  with typed :class:`~repro.service.admission.CircuitOpen` decisions.
-  No admitted ticket is ever stranded (DESIGN.md §11).
+  every ticket is decided in global sequence order, so grant/deny
+  decisions are byte-identical to a single sequential protocol
+  evaluating the same admission stream.
+* **Fault isolation** — evaluation exceptions become typed
+  :class:`~repro.service.admission.Errored` decisions; every shard has
+  a :class:`~repro.service.admission.CircuitBreaker` restart budget,
+  and a shard that exhausts it fails over: queued and future requests
+  shed with typed :class:`~repro.service.admission.CircuitOpen`
+  decisions.  No admitted ticket is ever stranded (DESIGN.md §11).
 
 Execution modes: ``threaded`` (thread-safe; decided on the submitting
-thread), ``process`` (one worker **process** per shard, fed over a
-pipe and restarted by a
-:class:`~repro.service.supervisor.WorkerSupervisor` — see
-:mod:`repro.service.procworker`), and ``manual`` (tickets queue until
-:meth:`pump` or :meth:`authorize`, deterministic — what the epoch
-tests, scenarios and replay drive).  Threaded and manual modes share
-one engine: the caller takes the service's decision lock and decides
-every queued ticket in global sequence order (:meth:`_drain_queues`);
-threaded mode runs it inside :meth:`submit`/:meth:`submit_batch`, so
-they return resolved tickets, and manual mode runs it when the caller
-pumps.  In both, a chaos ``WorkerKilled`` is a logical restart that
-burns the shard's restart budget.
+thread) and ``manual`` (tickets queue until :meth:`pump` or
+:meth:`authorize`, deterministic — what the epoch tests, scenarios and
+replay drive).  Both run one engine: the caller takes the service's
+decision lock and decides every queued ticket in global sequence order
+(:meth:`_drain_queues`); threaded mode runs it inside
+:meth:`submit`/:meth:`submit_batch`, so they return resolved tickets,
+and manual mode runs it when the caller pumps.  A chaos
+``WorkerKilled`` is a logical restart that burns the shard's restart
+budget.
 
 Admission is **batched** (DESIGN.md §12): callers can admit N
 requests in one pass under the admission lock
@@ -70,6 +63,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer, TraceSpan
 from ..pki.certificates import RevocationCertificate
 from .admission import (
+    CircuitBreaker,
     CircuitOpen,
     Errored,
     Overloaded,
@@ -79,13 +73,12 @@ from .admission import (
 )
 from .chaos import FaultInjector, WorkerKilled
 from .epoch import Epoch, EpochManager, PolicyEntry
-from .sharding import DEFAULT_MAX_BATCH, shard_for
-from .supervisor import CircuitBreaker, WorkerSupervisor
+from .sharding import shard_for
 from ..storage.wal import EpochRecord
 
 __all__ = ["AuthorizationService", "ServiceError"]
 
-_MODES = ("threaded", "process", "manual")
+_MODES = ("threaded", "manual")
 
 
 class ServiceError(Exception):
@@ -114,7 +107,7 @@ class _TrustFanout:
 
 
 class AuthorizationService:
-    """Sharded authorization with epochs, load shedding and supervision."""
+    """Sharded authorization with epochs, load shedding and breakers."""
 
     def __init__(
         self,
@@ -128,12 +121,8 @@ class AuthorizationService:
         tracing: bool = False,
         trace_export: Optional[str] = None,
         audit_log: Optional[AuditLog] = None,
-        supervise: bool = True,
         max_restarts: int = 3,
-        restart_backoff_s: float = 0.05,
-        restart_backoff_cap_s: float = 2.0,
         chaos: Optional[FaultInjector] = None,
-        max_batch: int = DEFAULT_MAX_BATCH,
         wal_dir: Optional[str] = None,
         wal_sync_every: int = 64,
         wal_sync_interval_s: float = 0.0,
@@ -144,19 +133,16 @@ class AuthorizationService:
             raise ValueError("need at least one shard")
         if mode not in _MODES:
             raise ServiceError(f"unknown mode {mode!r}; pick one of {_MODES}")
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
         self.name = name
         self.num_shards = num_shards
         self.queue_depth = queue_depth
         self.dedup = dedup
         self.mode = mode
-        self.max_batch = max_batch
         # One replay ledger across every shard and epoch: replays must
         # deny globally, unlike belief state which shards and snapshots.
         self.nonce_ledger = NonceLedger(freshness_window)
         # One belief state for every shard (the paper's one verifier):
-        # the lock guards evaluation, forks and pickling of it.
+        # the lock guards evaluation and forks of it.
         self._protocol_lock = threading.Lock()
         self.epochs = EpochManager(
             AuthorizationProtocol(
@@ -169,41 +155,26 @@ class AuthorizationService:
         )
         self.protocol = _TrustFanout(self)
         self._queues = [ShardQueue(queue_depth) for _ in range(num_shards)]
-        # Process mode: one ProcessShardWorker slot per shard; the
-        # supervisor swaps in replacement incarnations on crash.  The
-        # other modes decide on the caller's thread and leave these None.
-        self._workers: list = [None] * num_shards
-        # The last protocol a worker pickled, with its bytes: every
-        # shard ships the same protocol, so it is pickled once.
-        self._protocol_blob: tuple = (None, b"")
-        # Supervision: one crash budget per shard.  supervise only has
-        # meaning in process mode (the other modes restart logically).
-        self._supervise = supervise and mode == "process"
+        # One crash budget per shard; a crash is a logical restart.
         self._breakers = [
-            CircuitBreaker(
-                max_restarts=max_restarts,
-                backoff_base_s=restart_backoff_s,
-                backoff_cap_s=restart_backoff_cap_s,
-            )
+            CircuitBreaker(max_restarts=max_restarts)
             for _ in range(num_shards)
         ]
-        self.supervisor: Optional[WorkerSupervisor] = None
         self.chaos = chaos
-        # Threaded and manual modes: the caller deciding queued tickets
-        # holds this lock (one decider at a time, in sequence order).
-        # Per-shard decision counts feed the chaos loop-top hook and
-        # restart from zero with each logical restart.
+        # The caller deciding queued tickets holds this lock (one
+        # decider at a time, in sequence order).  Per-shard decision
+        # counts feed the chaos loop-top hook and restart from zero
+        # with each logical restart.
         self._decision_lock = threading.Lock()
         self._decided = [0] * num_shards
         # Admission bookkeeping under one lock: global sequence, queue
-        # pushes, per-shard in-flight dedup tables, completion counters
-        # and, in process mode, the tail ticket per nonce (chaining).
+        # pushes, per-shard in-flight dedup tables and completion
+        # counters.
         self._admission_lock = threading.Lock()
         self._next_seq = 0
         self._inflight: List[Dict[tuple, Ticket]] = [
             {} for _ in range(num_shards)
         ]
-        self._nonce_tail: Dict[str, Ticket] = {}
         self._outstanding = 0
         self._drained = threading.Condition(self._admission_lock)
         # A request or publish seals the trust configuration fast path;
@@ -221,7 +192,6 @@ class AuthorizationService:
         self.overloaded = self.metrics.counter("overloaded")
         self.errored = self.metrics.counter("errored")
         self.coalesced = self.metrics.counter("coalesced")
-        self.barrier_waits = self.metrics.counter("barrier_waits")
         self.worker_crashes = self.metrics.counter("worker_crashes")
         self.worker_restarts = self.metrics.counter("worker_restarts")
         self.circuit_open_sheds = self.metrics.counter("circuit_open_sheds")
@@ -252,8 +222,6 @@ class AuthorizationService:
             )
         else:
             self.audit_log = audit_log
-        if mode == "process":
-            self._start_workers()
 
     # ------------------------------------------------------ configuration
 
@@ -384,8 +352,7 @@ class AuthorizationService:
         """The admission path: one pass under the admission lock.
 
         Per request: the breaker check, the dedup probe and the
-        sequence number (plus, in process mode, same-nonce chaining);
-        then one ``try_push_batch`` per target shard.  A ticket that is
+        sequence number; then one ``try_push_batch`` per target shard.  A ticket that is
         not queued (its shard's breaker is open, or the queue is full)
         is still admitted, and resolves as a typed shed through
         :meth:`_shed` once the lock is released.
@@ -399,7 +366,6 @@ class AuthorizationService:
         if self._closed:
             raise ServiceError("service is closed")
         self._sealed = True
-        chain = self.mode == "process"
         results: List[Ticket] = []
         sheds: List[tuple] = []
         queued: Dict[int, List[tuple]] = {}
@@ -446,21 +412,6 @@ class AuthorizationService:
                     continue
                 if self.dedup:
                     self._inflight[shard][fingerprint] = ticket
-                if chain:
-                    # Process-mode dispatchers run in parallel: each
-                    # ships a ticket only after its same-nonce
-                    # predecessor resolved.  Chaining stays atomic with
-                    # sequence assignment, so two same-nonce submitters
-                    # can never both miss each other's tail.
-                    for nonce in sorted({p.nonce for p in request.parts}):
-                        tail = self._nonce_tail.get(nonce)
-                        if tail is not None and not tail.done():
-                            if (
-                                ticket.predecessor is None
-                                or tail.seq > ticket.predecessor.seq
-                            ):
-                                ticket.predecessor = tail
-                        self._nonce_tail[nonce] = ticket
                 queued.setdefault(shard, []).append((ticket, span))
             for shard, group in queued.items():
                 accepted = self._queues[shard].try_push_batch(
@@ -619,11 +570,7 @@ class AuthorizationService:
     def _resolve_ticket(
         self, ticket: Ticket, decision: AuthorizationDecision
     ) -> None:
-        """Wake the submitter: Event.set, latency, audit, trace finish.
-
-        Lock-free, so a process-mode dispatcher waiting on this ticket
-        as a same-nonce predecessor proceeds the moment the event fires.
-        """
+        """Wake the submitter: Event.set, latency, audit, trace finish."""
         if ticket.queue_span is not None:
             ticket.queue_span.end()
         ticket.resolve(decision)
@@ -647,13 +594,12 @@ class AuthorizationService:
     def _account_batch(self, resolved: List[tuple]) -> None:
         """One admission-lock sweep accounting a batch of resolutions.
 
-        Counters, dedup/nonce-tail cleanup and the outstanding count
+        Counters, dedup cleanup and the outstanding count
         for every ``(ticket, decision)`` pair run under a single lock
         acquisition — the batched half of completion.
         """
         if not resolved:
             return
-        chain = self.mode == "process"
         with self._admission_lock:
             for ticket, decision in resolved:
                 if isinstance(decision, Errored):
@@ -674,10 +620,6 @@ class AuthorizationService:
                     )
                     if self._inflight[ticket.shard].get(fingerprint) is ticket:
                         del self._inflight[ticket.shard][fingerprint]
-                if chain:
-                    for part in ticket.request.parts:
-                        if self._nonce_tail.get(part.nonce) is ticket:
-                            del self._nonce_tail[part.nonce]
                 self._outstanding -= 1
             if self._outstanding == 0:
                 self._drained.notify_all()
@@ -687,7 +629,7 @@ class AuthorizationService:
 
         Shared by fault isolation, load shedding, circuit-breaker
         failover and close()-time stranded resolution.  The ``finally``
-        guarantees the accounting and dedup/nonce cleanup run even if
+        guarantees the accounting and dedup cleanup run even if
         audit or trace export raises — outstanding can never leak.
         """
         try:
@@ -775,7 +717,7 @@ class AuthorizationService:
     def _drain_queues(self, limit: Optional[int] = None) -> int:
         """Decide queued tickets on this thread, in global sequence order.
 
-        The engine of threaded and manual modes.  One decider at a time
+        The engine of both modes.  One decider at a time
         holds the decision lock; each round collects whatever is queued
         and decides it as one batch, until the queues are empty (or
         ``limit`` tickets were taken).  Deciding in sequence order
@@ -796,7 +738,7 @@ class AuthorizationService:
                 self._evaluate_batch(batch)
         return taken
 
-    # ------------------------------------------------------- supervision
+    # ------------------------------------------------------------ crashes
 
     def _handle_crash(
         self,
@@ -804,15 +746,13 @@ class AuthorizationService:
         exc: BaseException,
         ticket: Optional[Ticket],
     ) -> None:
-        """Shared crash path: worker processes and logical restarts.
+        """A chaos ``WorkerKilled``: a logical restart, or a trip.
 
-        Resolves the in-hand ticket (if any) as errored, charges the
-        shard's restart budget, and either schedules a replacement
-        process (process mode), performs a logical restart (threaded
-        and manual modes), or trips the breaker and fails the queue
-        over.
+        Resolves the in-hand ticket (if any) as errored and charges the
+        shard's restart budget.  Within the budget the restart is
+        logical (the decider keeps draining); once it is spent the
+        breaker trips and the shard's queue fails over.
         """
-        error_type = type(exc).__name__
         if ticket is not None and not ticket.done():
             # The ticket dies with the worker, but its submitter must
             # not: resolve it errored before anything else.
@@ -821,24 +761,11 @@ class AuthorizationService:
             self.worker_crashes.inc()
             if self._closed:
                 return
-            if self.mode == "process" and not self._supervise:
-                # No supervisor: nothing will restart this shard.  Wake
-                # drain() waiters so they detect the stranded shard
-                # immediately instead of burning their full timeout.
-                self._drained.notify_all()
-                return
-        backoff = self._breakers[shard].record_crash(error_type)
-        if backoff is None:
+        if self._breakers[shard].record_crash(type(exc).__name__):
             self._trip_breaker(shard)
             return
-        if self.mode == "process":
-            assert self.supervisor is not None
-            self.supervisor.schedule_restart(shard, backoff, error_type)
-        else:
-            # No process to replace: the restart is logical (the
-            # decider keeps draining) but burns the same budget.
-            with self._admission_lock:
-                self.worker_restarts.inc()
+        with self._admission_lock:
+            self.worker_restarts.inc()
 
     def _trip_breaker(self, shard: int) -> None:
         """Give up on a shard: fail its queued tickets over as shed.
@@ -860,52 +787,6 @@ class AuthorizationService:
                 ),
             )
 
-    def _restart_worker(self, shard: int):
-        """Install a replacement for a crashed worker, or refuse.
-
-        Returns the replacement *not yet started*: the supervisor
-        records the restart first, then starts it.  Returns ``None``
-        when the service closed or the breaker tripped while the
-        restart was pending — the supervisor treats both as "this shard
-        is done".
-        """
-        with self._admission_lock:
-            if self._closed or self._breakers[shard].is_open:
-                return None
-            old = self._workers[shard]
-            worker = self._make_worker(
-                shard,
-                incarnation=(old.incarnation + 1) if old is not None else 1,
-            )
-            self._workers[shard] = worker
-            self.worker_restarts.inc()
-        return worker
-
-    def _make_worker(self, shard: int, incarnation: int = 0):
-        """Build (not start) the worker process for ``shard``."""
-        from .procworker import ProcessShardWorker
-
-        return ProcessShardWorker(
-            self,
-            shard,
-            epoch_id=self.epochs.current.epoch_id,
-            incarnation=incarnation,
-        )
-
-    def _pickled_protocol(self, protocol: AuthorizationProtocol) -> bytes:
-        """``protocol`` pickled once for every process worker shipping it.
-
-        Pickled under the protocol lock: a publish forks under it, and a
-        fork mid-pickle could tear.
-        """
-        import pickle
-
-        with self._protocol_lock:
-            if self._protocol_blob[0] is not protocol:
-                blob = pickle.dumps(protocol, protocol=pickle.HIGHEST_PROTOCOL)
-                self._protocol_blob = (protocol, blob)
-            return self._protocol_blob[1]
-
     # ------------------------------------------------------ manual pumping
 
     def pump(self, max_tickets: Optional[int] = None) -> int:
@@ -916,63 +797,21 @@ class AuthorizationService:
 
     # --------------------------------------------------------- lifecycle
 
-    def _start_workers(self) -> None:
-        for shard in range(self.num_shards):
-            worker = self._make_worker(shard)
-            self._workers[shard] = worker
-            worker.start()
-        if self._supervise:
-            self.supervisor = WorkerSupervisor(self)
-            self.supervisor.start()
-
-    def _stranded_reason_locked(self) -> Optional[str]:
-        """Why outstanding work can never finish, or None (lock held).
-
-        Only unsupervised process-mode services can strand work: a
-        crashed worker with tickets still queued and nothing that will
-        restart it.  Supervised services either restart the worker or
-        fail the queue over, and the other modes restart logically, so
-        their drains always terminate.
-        """
-        if self._supervise:
-            return None
-        for shard, worker in enumerate(self._workers):
-            if worker is None or not worker.crashed:
-                continue
-            queued = len(self._queues[shard])
-            if queued:
-                exc = worker.crash_exc
-                return (
-                    f"shard {shard} worker is dead "
-                    f"({type(exc).__name__}: {exc}) with {queued} queued "
-                    f"ticket(s) and no supervisor; run with supervise=True "
-                    f"or close() the service to fail the tickets over"
-                )
-        return None
-
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Wait until every admitted ticket has resolved.
 
-        Raises :class:`ServiceError` *immediately* (not after the
-        timeout) when outstanding work is stranded behind a dead,
-        unsupervised worker process — the crash handler wakes waiters
-        the moment the worker dies.
+        Manual mode pumps.  Threaded mode decides anything still queued
+        and then waits for tickets in another submitter's hands.
         """
         if self.mode == "manual":
             self.pump()
             return True
-        if self.mode == "threaded":
-            # Queues are empty between submits; a ticket still counted
-            # outstanding is in another submitter's hands.
-            self._drain_queues()
+        self._drain_queues()
         deadline = (
             None if timeout is None else time.monotonic() + timeout
         )
         with self._admission_lock:
             while self._outstanding > 0:
-                reason = self._stranded_reason_locked()
-                if reason is not None:
-                    raise ServiceError(reason)
                 remaining = None
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
@@ -981,49 +820,13 @@ class AuthorizationService:
                 self._drained.wait(remaining)
             return True
 
-    def close(self, timeout: Optional[float] = 10.0) -> None:
-        """Stop accepting work, finish the queues, resolve the stranded.
-
-        Threaded and manual modes decide whatever is still queued.  In
-        process mode the supervisor stops first (no restarts during
-        shutdown), live workers drain their queues and exit, and any
-        ticket left behind by a dead worker is resolved as
-        :class:`Errored` — a caller blocked on ``ticket.result()`` is
-        never stranded by ``close``.
-        """
+    def close(self) -> None:
+        """Stop accepting work and decide whatever is still queued."""
         if self._closed:
             return
         self._closed = True
         try:
-            if self.mode != "process":
-                self._drain_queues()
-                return
-            if self.supervisor is not None:
-                self.supervisor.stop()
-            deadline = (
-                None if timeout is None else time.monotonic() + timeout
-            )
-            workers = [w for w in self._workers if w is not None]
-            for worker in workers:
-                worker.stop()
-            for worker in workers:
-                remaining = None
-                if deadline is not None:
-                    remaining = max(0.0, deadline - time.monotonic())
-                worker.join(remaining)
-            # Live workers drained their queues on the way out; whatever
-            # is left sat behind a crashed (or join-timed-out) worker.
-            for shard in range(self.num_shards):
-                for ticket in self._queues[shard].drain_all():
-                    if ticket.done():
-                        continue
-                    exc = ServiceError(
-                        f"service closed: shard {shard} worker was dead, "
-                        f"ticket seq={ticket.seq} never evaluated"
-                    )
-                    self._complete(
-                        ticket, self._errored_decision(ticket, exc)
-                    )
+            self._drain_queues()
         finally:
             # Durability last: every decision resolved above has already
             # passed through the audit lock into the WAL.
@@ -1043,20 +846,10 @@ class AuthorizationService:
         return [len(queue) for queue in self._queues]
 
     def workers_alive(self) -> int:
-        """Live workers; without worker processes, shards still deciding.
-
-        In threaded and manual modes a shard counts while the service
-        is open and its breaker is closed.
-        """
-        if self.mode != "process":
-            if self._closed:
-                return 0
-            return self.num_shards - self.breakers_open()
-        return sum(
-            1
-            for worker in self._workers
-            if worker is not None and worker.is_alive()
-        )
+        """Shards still deciding: open service, breaker closed."""
+        if self._closed:
+            return 0
+        return self.num_shards - self.breakers_open()
 
     def breakers_open(self) -> int:
         return sum(1 for breaker in self._breakers if breaker.is_open)
@@ -1081,7 +874,6 @@ class AuthorizationService:
                 "overloaded": self.overloaded.value,
                 "errored": self.errored.value,
                 "coalesced": self.coalesced.value,
-                "barrier_waits": self.barrier_waits.value,
                 "outstanding": self._outstanding,
                 "nonce_cache_size": len(self.nonce_ledger),
             },
@@ -1097,7 +889,6 @@ class AuthorizationService:
                 "forks_taken": self.epochs.stats.forks_taken,
             },
             "health": {
-                "supervised": int(self._supervise),
                 "workers_alive": self.workers_alive(),
                 "worker_crashes": self.worker_crashes.value,
                 "worker_restarts": self.worker_restarts.value,

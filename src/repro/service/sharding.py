@@ -1,19 +1,16 @@
 """Shard routing.
 
 Shards are admission partitions: each has its own queue, circuit
-breaker, dedup table and (in process mode) worker process, while every
-shard decides against the epoch's one protocol
-(:mod:`repro.service.epoch`).  Requests shard by **resource key**
-(object name, falling back to the certified group for object-less
-requests): all traffic for one object lands in one queue, so
-per-object evaluation order matches admission order.  The hash is
+breaker and dedup table, while every shard decides against the epoch's
+one protocol (:mod:`repro.service.epoch`).  Requests shard by
+**resource key** (object name, falling back to the certified group for
+object-less requests): all traffic for one object lands in one queue,
+so per-object evaluation order matches admission order.  The hash is
 CRC32, not Python's salted ``hash()``, so placement is stable across
 processes and runs — benchmarks and the parity fuzzer rely on that.
 
-Threaded and manual services decide every shard's queue on the
-caller's thread, in global sequence order
-(``AuthorizationService._drain_queues``); process mode gives each
-shard a worker process (:mod:`repro.service.procworker`).
+The service decides every shard's queue on the caller's thread, in
+global sequence order (``AuthorizationService._drain_queues``).
 """
 
 from __future__ import annotations
@@ -22,13 +19,7 @@ import zlib
 
 from ..coalition.requests import JointAccessRequest
 
-__all__ = ["shard_key", "shard_for", "DEFAULT_MAX_BATCH"]
-
-# How many tickets a process-mode dispatcher takes per condvar wakeup.
-# Large enough to amortize the lock/condvar round-trip that used to be
-# paid per ticket, small enough that a crash mid-batch re-queues a
-# short remainder.
-DEFAULT_MAX_BATCH = 32
+__all__ = ["shard_key", "shard_for"]
 
 
 def shard_key(request: JointAccessRequest) -> str:

@@ -4,7 +4,7 @@ and generated ``repr`` texts equal the dataclass-generated ones.
 A string's hash depends on ``PYTHONHASHSEED``, so a hash memo carried
 from one process into another disagrees with the hash of an equal node
 built there, and every dict or set lookup of the loaded node misses.
-Process-mode shard workers receive their epochs by pickle, so this is
+Any pickle that crosses a process boundary hits this, so it is
 checked across two interpreters started with different seeds.
 """
 

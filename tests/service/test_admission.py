@@ -177,6 +177,12 @@ class TestLifecycle:
         with pytest.raises(ServiceError):
             AuthorizationService(mode="fibers")
 
+    def test_process_mode_is_gone(self):
+        with pytest.raises(ServiceError) as raised:
+            AuthorizationService(mode="process")
+        assert "'threaded'" in str(raised.value)
+        assert "'manual'" in str(raised.value)
+
     def test_context_manager_closes(self, service_coalition):
         ctx, make_service = service_coalition
         users, cert = ctx["users"], ctx["read_cert"]

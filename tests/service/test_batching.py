@@ -1,11 +1,9 @@
 """Batch-path semantics: queue batch ops, submit_batch, trip interleave.
 
-The batched dispatch path (DESIGN.md §12) must be an *amortization*,
-never a semantic change: FIFO order survives concurrent pushes, a
-wake/stop during a batch wait returns a partial (possibly empty) batch
-without losing tickets, ``drain_all`` and an in-flight ``pop_batch``
-never double-deliver, and a batched submission stream resolves to
-byte-identical decisions as per-ticket submission.
+Batched admission (DESIGN.md §12) must be an *amortization*, never a
+semantic change: FIFO order survives concurrent pushes, a requeued
+remainder returns to the queue head, and a batched submission stream
+resolves to byte-identical decisions as per-ticket submission.
 """
 
 import random
@@ -24,27 +22,6 @@ def _ticket(seq):
 
 
 class TestShardQueueBatchOps:
-    def test_pop_batch_takes_available_without_waiting(self):
-        queue = ShardQueue(depth=16)
-        for seq in range(3):
-            assert queue.try_push(_ticket(seq))
-        batch = queue.pop_batch(8, timeout=5.0)
-        assert [t.seq for t in batch] == [0, 1, 2]
-        assert len(queue) == 0
-
-    def test_pop_batch_caps_at_max_batch(self):
-        queue = ShardQueue(depth=16)
-        for seq in range(10):
-            queue.try_push(_ticket(seq))
-        assert [t.seq for t in queue.pop_batch(4)] == [0, 1, 2, 3]
-        assert [t.seq for t in queue.pop_batch(4)] == [4, 5, 6, 7]
-        assert [t.seq for t in queue.pop_batch(4)] == [8, 9]
-
-    def test_pop_batch_rejects_nonpositive_max(self):
-        queue = ShardQueue(depth=4)
-        with pytest.raises(ValueError):
-            queue.pop_batch(0)
-
     def test_try_push_batch_accepts_prefix_up_to_depth(self):
         queue = ShardQueue(depth=4)
         queue.try_push(_ticket(0))
@@ -60,38 +37,12 @@ class TestShardQueueBatchOps:
         queue = ShardQueue(depth=8)
         for seq in range(4):
             queue.try_push(_ticket(seq))
-        batch = queue.pop_batch(4)
+        batch = queue.drain_all()
         # Crash after evaluating batch[0]: the rest go back to the head,
         # ahead of a later arrival, ignoring depth.
         queue.try_push(_ticket(4))
         queue.push_front_batch(batch[1:])
         assert [t.seq for t in queue.drain_all()] == [1, 2, 3, 4]
-
-    def test_wake_during_batch_wait_returns_empty_not_lost(self):
-        queue = ShardQueue(depth=8)
-        got = []
-        ready = threading.Event()
-
-        def consumer():
-            ready.set()
-            got.append(queue.pop_batch(8, timeout=10.0))
-
-        thread = threading.Thread(target=consumer)
-        thread.start()
-        ready.wait()
-        queue.wake()
-        thread.join(5.0)
-        assert not thread.is_alive()
-        assert got == [[]]
-        # Nothing was lost: a ticket pushed after the wake still pops.
-        queue.try_push(_ticket(7))
-        assert [t.seq for t in queue.pop_batch(8)] == [7]
-
-    def test_stop_set_before_wait_short_circuits(self):
-        queue = ShardQueue(depth=8)
-        stop = threading.Event()
-        stop.set()
-        assert queue.pop_batch(8, timeout=10.0, stop=stop) == []
 
     def test_fifo_preserved_under_concurrent_push(self):
         queue = ShardQueue(depth=32)
@@ -110,12 +61,10 @@ class TestShardQueueBatchOps:
                 accepted = queue.try_push_batch(chunk)
                 seq += accepted
             done.set()
-            queue.wake()
 
         def consumer():
-            rng = random.Random(2)
             while len(popped) < total:
-                batch = queue.pop_batch(rng.randrange(1, 9), timeout=1.0)
+                batch = queue.drain_all()
                 popped.extend(batch)
                 if not batch and done.is_set() and len(queue) == 0:
                     break
@@ -129,46 +78,6 @@ class TestShardQueueBatchOps:
         for t in threads:
             t.join(30.0)
         assert [t.seq for t in popped] == list(range(total))
-
-    def test_drain_all_vs_pop_batch_never_double_delivers(self):
-        queue = ShardQueue(depth=64)
-        total = 600
-        delivered = []
-        lock = threading.Lock()
-        done = threading.Event()
-
-        def producer():
-            seq = 0
-            while seq < total:
-                if queue.try_push(_ticket(seq)):
-                    seq += 1
-            done.set()
-            queue.wake()
-
-        def popper():
-            while not (done.is_set() and len(queue) == 0):
-                batch = queue.pop_batch(8, timeout=0.05)
-                with lock:
-                    delivered.extend(batch)
-
-        def drainer():
-            while not (done.is_set() and len(queue) == 0):
-                items = queue.drain_all()
-                with lock:
-                    delivered.extend(items)
-
-        threads = [
-            threading.Thread(target=producer),
-            threading.Thread(target=popper),
-            threading.Thread(target=drainer),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(30.0)
-        delivered.extend(queue.drain_all())
-        seqs = sorted(t.seq for t in delivered)
-        assert seqs == list(range(total))  # every ticket exactly once
 
 
 FRESHNESS = 50
@@ -320,7 +229,7 @@ class TestTripVsPushInterleaving:
         ctx, make_service = service_coalition
         service = make_service(
             mode="threaded", num_shards=1, queue_depth=64, dedup=False,
-            freshness_window=FRESHNESS, supervise=True, max_restarts=0,
+            freshness_window=FRESHNESS, max_restarts=0,
             chaos=FaultInjector(
                 ChaosConfig(kill_shard=0, kill_in_flight=True, kill_times=1)
             ),

@@ -157,7 +157,6 @@ class TestShedTranslation:
                 ChaosConfig(kill_shard=0, kill_in_flight=True, kill_times=100)
             ),
             max_restarts=0,
-            restart_backoff_s=0.001,
         )
         handle = serve_in_thread(service)
         try:
@@ -227,7 +226,6 @@ class TestHealthProbes:
                 ChaosConfig(kill_shard=0, kill_in_flight=True, kill_times=100)
             ),
             max_restarts=0,
-            restart_backoff_s=0.001,
         )
         handle = serve_in_thread(service)
         try:

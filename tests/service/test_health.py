@@ -1,9 +1,9 @@
 """Liveness/readiness probes and the health surfaces of stats()/metrics.
 
 The probe semantics under test (see ``repro.service.health``):
-*live* means no work can strand (workers running, restarts pending, or
-failure decided via an open breaker); *ready* means new traffic will
-actually be evaluated rather than shed.
+*live* means no work can strand (shards deciding, or failure decided
+via an open breaker); *ready* means new traffic will actually be
+evaluated rather than shed.
 """
 
 from repro.coalition import build_joint_request
@@ -31,9 +31,12 @@ class TestHealthyService:
         probe = service.health()
         assert probe["liveness"]["live"]
         assert probe["liveness"]["workers_alive"] == 2
-        # Decided on the submitting thread: no supervisor to run.
-        assert not probe["liveness"]["supervisor_alive"]
-        assert not probe["supervised"]
+        # Decided on the submitting thread: no supervisor fields.
+        assert "supervisor_alive" not in probe["liveness"]
+        assert "supervised" not in probe
+        assert not {"restart_pending", "pinned_epoch_id"} & set(
+            probe["shards"][0]
+        )
         assert probe["readiness"]["ready"]
         assert not probe["readiness"]["degraded"]
         for shard in probe["shards"]:
@@ -48,7 +51,7 @@ class TestHealthyService:
         probe = health_report(service)
         assert probe["liveness"]["live"]
         assert probe["readiness"]["ready"]
-        assert not probe["supervised"]
+        assert "supervised" not in probe
 
     def test_closed_service_is_neither_live_nor_ready(self, service_coalition):
         _, make_service = service_coalition
@@ -70,7 +73,6 @@ class TestFailedShard:
                 ChaosConfig(kill_shard=0, kill_in_flight=True, kill_times=100)
             ),
             max_restarts=1,
-            restart_backoff_s=0.002,
         )
         users, cert = ctx["users"], ctx["read_cert"]
         service.submit(_read(users, cert, "ObjectO", 5, "hf-0"), now=5)
@@ -131,7 +133,7 @@ class TestHealthSurfaces:
         _, make_service = service_coalition
         service = make_service(mode="threaded", num_shards=2)
         health = service.stats()["health"]
-        assert health["supervised"] == 0  # logical restarts, no supervisor
+        assert "supervised" not in health  # logical restarts only
         assert health["workers_alive"] == 2
         assert health["worker_crashes"] == 0
         assert health["worker_restarts"] == 0

@@ -1,17 +1,14 @@
 """Each epoch holds one protocol that every shard decides against.
 
-Shards partition admission only (queues, breakers, dedup tables,
-process workers).  Belief state is the paper's one verifier: a
-certificate admitted for one shard's object serves every shard, and a
-revocation is forked and applied once per publish, whatever the shard
-count.
+Shards partition admission only (queues, breakers, dedup tables).
+Belief state is the paper's one verifier: a certificate admitted for
+one shard's object serves every shard, and a revocation is forked and
+applied once per publish, whatever the shard count.
 """
-
-import pickle
 
 import pytest
 
-from repro.coalition import AuthorizationProtocol, build_joint_request
+from repro.coalition import build_joint_request
 from repro.pki import ValidityPeriod
 from repro.service.sharding import shard_for
 
@@ -59,31 +56,3 @@ def test_one_publish_forks_and_applies_once(service_coalition, num_shards):
     revocation = coalition.authority.revoke_certificate(victim, now=6)
     service.publish_revocation(revocation, now=6)
     assert counts() == (forks + 1, admitted + 1)
-
-
-def test_process_workers_share_one_pickle_per_epoch(
-    service_coalition, monkeypatch
-):
-    ctx, make_service = service_coalition
-    real_dumps = pickle.dumps
-    pickled = []
-
-    def counting_dumps(obj, *args, **kwargs):
-        if isinstance(obj, AuthorizationProtocol):
-            pickled.append(obj)
-        return real_dumps(obj, *args, **kwargs)
-
-    monkeypatch.setattr(pickle, "dumps", counting_dumps)
-    service = make_service(mode="process", num_shards=2, dedup=False)
-    users, cert = ctx["users"], ctx["read_cert"]
-    tickets = service.submit_batch(
-        [
-            (_read(users, cert, obj, 5, f"pp-{obj}"), 5)
-            for obj in ("ObjectO", "ObjectP")
-        ]
-    )
-    assert service.drain(timeout=60)
-    assert all(t.result(0).granted for t in tickets)
-    assert len({t.shard for t in tickets}) == 2
-    assert len(pickled) == 1
-    assert pickled[0] is service.epochs.current.protocol

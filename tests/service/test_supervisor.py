@@ -1,18 +1,15 @@
-"""Supervision: restart budgets, circuit breaking, nothing stranded.
+"""Restart budgets, circuit breaking, nothing stranded.
 
 Covers the DESIGN.md §11 lifecycle end to end: a shard that keeps
 crashing burns its bounded restart budget, the breaker then trips
 open, queued work fails over as typed ``CircuitOpen`` sheds, admission
 sheds new traffic for the failed shard, and unaffected shards keep
-serving byte-identical results.  Threaded and manual modes decide on
-the caller's thread, so a chaos ``WorkerKilled`` there is a logical
-restart charged to the same budget; worker processes and their
-supervisor are covered by ``test_process_mode.py``.
+serving byte-identical results.  The service decides on the caller's
+thread, so a chaos ``WorkerKilled`` is a logical restart charged to
+the shard's budget.
 """
 
 import time
-
-import pytest
 
 from repro.coalition import build_joint_request
 from repro.service import (
@@ -39,30 +36,21 @@ def _always_kill_shard0():
 
 
 class TestCircuitBreaker:
-    def test_backoff_doubles_until_budget_then_opens(self):
-        breaker = CircuitBreaker(
-            max_restarts=3, backoff_base_s=0.05, backoff_cap_s=2.0
-        )
-        assert breaker.record_crash("E1") == pytest.approx(0.05)
-        assert breaker.record_crash("E2") == pytest.approx(0.10)
-        assert breaker.record_crash("E3") == pytest.approx(0.20)
+    def test_restarts_within_budget_then_opens(self):
+        breaker = CircuitBreaker(max_restarts=3)
+        assert breaker.state == "closed"
+        assert [breaker.record_crash(f"E{i}") for i in (1, 2, 3)] == [
+            False, False, False
+        ]
         assert not breaker.is_open and breaker.restarts == 3
-        assert breaker.record_crash("E4") is None
+        assert breaker.record_crash("E4") is True
         assert breaker.is_open and breaker.state == "open"
         assert breaker.crashes == 4 and breaker.restarts == 3
         assert breaker.last_error == "E4"
 
-    def test_backoff_is_capped(self):
-        breaker = CircuitBreaker(
-            max_restarts=10, backoff_base_s=0.5, backoff_cap_s=1.0
-        )
-        breaker.record_crash("E")
-        breaker.record_crash("E")
-        assert breaker.record_crash("E") == pytest.approx(1.0)  # not 2.0
-
     def test_zero_budget_opens_on_first_crash(self):
         breaker = CircuitBreaker(max_restarts=0)
-        assert breaker.record_crash("E") is None
+        assert breaker.record_crash("E") is True
         assert breaker.is_open
 
 
@@ -76,7 +64,6 @@ class TestThreadedRestartBudget:
             dedup=False,
             chaos=_always_kill_shard0(),
             max_restarts=2,
-            restart_backoff_s=0.005,
         )
         users, cert = ctx["users"], ctx["read_cert"]
         doomed = [
@@ -110,9 +97,6 @@ class TestThreadedRestartBudget:
         assert health["circuit_open_sheds"] == 5
         assert service._breakers[0].is_open
 
-        # Logical restarts: no thread or process was replaced.
-        assert service.supervisor is None
-
         # The unaffected shard served everything.
         assert all(t.result(0).granted for t in healthy)
 
@@ -123,7 +107,6 @@ class TestThreadedRestartBudget:
             num_shards=2,
             chaos=_always_kill_shard0(),
             max_restarts=0,
-            restart_backoff_s=0.001,
         )
         users, cert = ctx["users"], ctx["read_cert"]
         service.submit(_read(users, cert, "ObjectO", 5, "as-0"), now=5)
@@ -153,7 +136,6 @@ class TestThreadedRestartBudget:
             dedup=False,
             chaos=_always_kill_shard0(),
             max_restarts=1,
-            restart_backoff_s=0.002,
         )
         oracle = make_service(mode="manual", num_shards=2, dedup=False)
 
@@ -222,12 +204,10 @@ class TestManualRestartBudget:
 
 
 class TestUnsupervisedDetection:
-    """``supervise=False`` strands nothing without worker processes.
+    """A kill strands nothing: a threaded service has no worker to lose.
 
-    A dead, unsupervised worker *process* strands its queue until
-    ``close`` (``test_process_mode.TestProcessUnsupervisedDetection``);
-    a threaded service has no worker to lose, so the same kill is a
-    logical restart and every ticket resolves.
+    The kill is a logical restart, so ``drain`` returns, ``close``
+    resolves every ticket, and an idle close is immediate.
     """
 
     def _killing_service(self, make_service, **chaos):
@@ -235,7 +215,6 @@ class TestUnsupervisedDetection:
             mode="threaded",
             num_shards=2,
             dedup=False,
-            supervise=False,
             chaos=FaultInjector(ChaosConfig(kill_shard=0, **chaos)),
         )
 
@@ -272,7 +251,7 @@ class TestUnsupervisedDetection:
             service.submit(_read(users, cert, "ObjectO", 5, f"uc-{i}"), now=5)
             for i in range(4)
         ]
-        service.close(timeout=10)
+        service.close()
         assert all(t.done() for t in tickets), "close leaves nobody waiting"
         killed = tickets[0].result(0)
         assert isinstance(killed, Errored)
@@ -289,6 +268,6 @@ class TestUnsupervisedDetection:
         _, make_service = service_coalition
         service = make_service(mode="threaded", num_shards=4)
         start = time.perf_counter()
-        service.close(timeout=10)
+        service.close()
         assert time.perf_counter() - start < 2
         assert service.workers_alive() == 0

@@ -65,7 +65,6 @@ PACKAGES = [
     "repro.service.fixture",
     "repro.service.service",
     "repro.service.sharding",
-    "repro.service.supervisor",
     "repro.storage",
     "repro.storage.wal",
     "repro.storage.recovery",
@@ -107,6 +106,15 @@ def test_all_exports_exist(module_name):
         return
     for name in exported:
         assert hasattr(module, name), f"{module_name}.__all__ lists {name!r}"
+
+
+def test_deleted_service_modules_stay_gone():
+    import repro.service
+
+    for name in ("repro.service.procworker", "repro.service.supervisor"):
+        with pytest.raises(ImportError):
+            importlib.import_module(name)
+    assert not {"RestartEvent", "WorkerSupervisor"} & set(repro.service.__all__)
 
 
 def test_version():
