@@ -9,10 +9,10 @@ three verbs a front end owns — **parse**, **route**, **shed**:
   errors additionally close the connection, because the byte stream is
   desynchronized);
 * route/submit: requests go down through
-  :meth:`AuthorizationService.submit_batch` — concurrent arrivals from
-  *different* connections that land in the same event-loop tick are
-  admitted as **one batch**, which is exactly the amortization the
-  service's batched admission path (DESIGN.md §12) was built for;
+  :meth:`AuthorizationService.submit_batch` — the authorize frames one
+  connection delivers in one event-loop tick are admitted as **one
+  batch**, the amortization the service's batched admission path
+  (DESIGN.md §12) was built for;
 * shed: typed :class:`Overloaded`/:class:`CircuitOpen` decisions
   become 503-style ``retry`` frames carrying ``retry_after`` hints,
   :class:`Errored` becomes a 500-style ``error`` frame.
@@ -25,20 +25,19 @@ possible — a decision travelling through the socket must be the same
 decision in-process submission produces, because the edge had no
 opportunity to change it.
 
-Concurrency shape: the event loop owns parsing, deciding and writing.
-A threaded service decides each tick's batch inside ``submit_batch``,
-on the loop thread, so the edge resolves every future directly.  A
-manual-mode service (tests drive one to hold tickets queued) decides
-only when its caller pumps; a daemon thread waits for each such ticket
-and hands the decision back through ``loop.call_soon_threadsafe``.
-Each connection pipelines: responses go out in completion order,
-correlated by the request ``id`` the client sent.  The responses of
-one connection that resolve in the same loop tick leave as one
-``write`` and one ``drain``, serialized by a per-connection write
-lock.
+Concurrency shape: everything runs on the event loop thread, one
+:class:`_Connection` protocol per socket.  ``data_received`` splits
+every complete frame off the connection's buffer and queues one
+``call_soon`` flush.  The flush admits that connection's authorize
+frames of the tick in one ``submit_batch``; the edge serves a threaded
+service, which decides the batch inside that call.  The flush then
+writes the connection's replies — decisions, probes and protocol
+errors, in arrival order, correlated by the request ``id`` — with one
+``transport.write``.  A connection whose write buffer passes its
+high-water mark stops reading until it drains.
 
-Shutdown is drain-first (``SIGTERM`` in the CLI): stop accepting,
-let in-flight tickets resolve, flush their responses, then close.
+Shutdown is drain-first (``SIGTERM`` in the CLI): stop accepting, let
+the pending batches flush, then close every connection.
 """
 
 from __future__ import annotations
@@ -49,13 +48,15 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry
 from .health import health_report, liveness, readiness, shard_health
-from .service import AuthorizationService
+from .service import AuthorizationService, ServiceError
 from .wire import (
     DEFAULT_MAX_FRAME,
+    HEADER_SIZE,
     ProtocolError,
     decision_to_dict,
+    decode_body,
+    decode_header,
     encode_frame,
-    read_frame_async,
     request_from_dict,
 )
 
@@ -74,23 +75,120 @@ RETRY_AFTER_OVERLOADED_S = 0.05
 RETRY_AFTER_CIRCUIT_OPEN_S = 1.0
 
 
-class _Outbox:
-    """One connection's encoded responses awaiting their write."""
+class _Connection(asyncio.Protocol):
+    """One socket: its unparsed bytes, and this tick's frames and replies."""
 
-    __slots__ = ("frames", "lock")
+    __slots__ = (
+        "edge", "transport", "buffer", "pending", "replies", "closing",
+        "scheduled",
+    )
 
-    def __init__(self):
-        self.frames: List[bytes] = []
-        self.lock = asyncio.Lock()
+    def __init__(self, edge: "EdgeServer"):
+        self.edge = edge
+        self.transport: Optional[asyncio.Transport] = None
+        self.buffer = bytearray()
+        # This tick's authorize frames: (request, now, id, reply slot).
+        self.pending: List[Tuple[Any, int, int, int]] = []
+        # Encoded replies in arrival order; an authorize frame holds an
+        # empty slot until the flush decides it.
+        self.replies: List[bytes] = []
+        self.closing = False  # a fatal error or EOF: close after writing
+        self.scheduled = False  # a flush is queued on the loop
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.edge._connections.add(self)
+        self.edge._connections_total.inc()
+
+    def connection_lost(self, exc) -> None:
+        self.edge._connections.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        if self.closing:
+            return
+        edge = self.edge
+        buffer = self.buffer
+        buffer += data
+        start = 0
+        try:
+            while len(buffer) - start >= HEADER_SIZE:
+                body = start + HEADER_SIZE
+                end = body + decode_header(buffer[start:body], edge.max_frame)
+                if len(buffer) < end:
+                    break
+                frame = decode_body(buffer[body:end])
+                start = end
+                edge._frames_in.inc()
+                edge._dispatch(self, frame)
+        except ProtocolError as exc:
+            self.fail(exc)
+        del buffer[:start]
+        self.schedule()
+
+    def eof_received(self) -> bool:
+        if not self.closing:
+            buffer = self.buffer
+            if buffer:
+                if len(buffer) < HEADER_SIZE:
+                    where = f"mid-header ({len(buffer)}/{HEADER_SIZE} bytes)"
+                else:  # data_received already checked this header
+                    length = decode_header(buffer[:HEADER_SIZE], self.edge.max_frame)
+                    where = f"mid-body ({len(buffer) - HEADER_SIZE}/{length} bytes)"
+                self.fail(
+                    ProtocolError("truncated", f"connection closed {where}")
+                )
+            self.closing = True
+            self.schedule()
+        return True  # the flush closes the transport after the replies
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    def fail(self, exc: ProtocolError) -> None:
+        """Answer a framing error; the stream is lost, so hang up after."""
+        self.edge._reply_error(self, 0, exc)
+        self.closing = True
+
+    def schedule(self) -> None:
+        """Queue this connection's flush for the next loop turn.
+
+        The loop first reads every other connection readable in this
+        turn.  Batches stay per connection, so each client is answered
+        as soon as its own batch is decided: one batch across
+        connections turns a pipelining client's whole window into one
+        batch, and client and server then idle in turn (DESIGN.md §14).
+        """
+        if not self.scheduled and (self.replies or self.closing):
+            self.scheduled = True
+            self.edge._loop.call_soon(self.flush)
+
+    def flush(self) -> None:
+        """Decide this tick's authorize frames as one batch; write once."""
+        self.scheduled = False
+        if self.pending:
+            self.edge._decide(self)
+        transport = self.transport
+        if self.replies:
+            if not transport.is_closing():
+                transport.write(b"".join(self.replies))
+                self.edge._responses_out.inc(len(self.replies))
+            self.replies = []
+        if self.closing:
+            transport.close()
 
 
 class EdgeServer:
-    """One asyncio acceptor in front of one :class:`AuthorizationService`.
+    """One asyncio acceptor in front of one threaded :class:`AuthorizationService`.
 
     Start with :meth:`start` (from a running loop) and stop with
     :meth:`drain` + :meth:`stop`; sync callers use
     :func:`serve_in_thread`, which runs the loop on a daemon thread and
-    returns an :class:`EdgeHandle`.
+    returns an :class:`EdgeHandle`.  A manual-mode service decides only
+    when its caller pumps, so the edge refuses it with
+    :class:`ServiceError`.
     """
 
     def __init__(
@@ -100,6 +198,10 @@ class EdgeServer:
         port: int = 0,
         max_frame: int = DEFAULT_MAX_FRAME,
     ):
+        if service.mode != "threaded":
+            raise ServiceError(
+                f"the edge serves a threaded service, not mode={service.mode!r}"
+            )
         self.service = service
         self.host = host
         self.port = port  # 0 until start() binds; then the real port
@@ -115,16 +217,7 @@ class EdgeServer:
         self._error_responses = self.metrics.counter("error_responses")
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        # Per-tick admission batch: handlers append (request, now,
-        # future) here and schedule one _flush via call_soon; every
-        # arrival that parses during the same loop tick goes down in a
-        # single submit_batch call.
-        self._pending: List[Tuple[Any, int, "asyncio.Future"]] = []
-        self._flush_scheduled = False
-        self._open_connections = 0
-        self._in_flight = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
+        self._connections: "set[_Connection]" = set()
         self._accepting = True
 
     # lifecycle --------------------------------------------------------
@@ -132,184 +225,113 @@ class EdgeServer:
     async def start(self) -> None:
         """Bind and start accepting (must run inside an event loop)."""
         self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port
+        self._server = await self._loop.create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def drain(self, timeout: Optional[float] = None) -> bool:
-        """Stop accepting; wait for in-flight requests to flush.
+        """Stop accepting; wait for the pending batches to flush.
 
-        Returns False when in-flight work did not quiesce within
-        ``timeout`` (the caller decides whether to hard-close anyway).
         Existing connections are not reset — a drained edge answers
-        everything it already admitted, it just takes no new sockets.
+        everything it already admitted and refuses new authorize frames
+        as ``bad-request``, it just takes no new sockets.  The service
+        decides each batch inside a flush that is already scheduled, so
+        the wait is one loop turn and always completes; ``timeout`` is
+        accepted for callers that bound it.
         """
         self._accepting = False
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        try:
-            await asyncio.wait_for(self._idle.wait(), timeout)
-        except asyncio.TimeoutError:
-            return False
+        while any(conn.pending for conn in self._connections):
+            await asyncio.sleep(0)
         return True
 
     async def stop(self) -> None:
-        """Hard-stop the acceptor (drain first for a graceful exit)."""
+        """Stop the acceptor and close every connection (drain first)."""
         self._accepting = False
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
             self._server = None
+        for conn in list(self._connections):
+            conn.transport.close()
 
     def stats(self) -> Dict[str, int]:
         snap = {
             name.split(".", 1)[1]: value
             for name, value in self.metrics.snapshot()["counters"].items()
         }
-        snap["open_connections"] = self._open_connections
-        snap["in_flight"] = self._in_flight
+        snap["open_connections"] = len(self._connections)
+        snap["in_flight"] = sum(
+            len(conn.pending) for conn in self._connections
+        )
         return snap
 
-    # connection handling ----------------------------------------------
+    # frames -----------------------------------------------------------
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections_total.inc()
-        self._open_connections += 1
-        outbox = _Outbox()
-        response_tasks: "set[asyncio.Task]" = set()
-        try:
-            while True:
-                try:
-                    frame = await read_frame_async(reader, self.max_frame)
-                except ProtocolError as exc:
-                    await self._send_protocol_error(writer, outbox, 0, exc)
-                    if exc.fatal:
-                        break
-                    continue
-                if frame is None:  # clean EOF between frames
-                    break
-                self._frames_in.inc()
-                task = asyncio.ensure_future(
-                    self._handle_frame(frame, writer, outbox)
-                )
-                response_tasks.add(task)
-                task.add_done_callback(response_tasks.discard)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            if response_tasks:
-                await asyncio.gather(*response_tasks, return_exceptions=True)
-            self._open_connections -= 1
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-    async def _handle_frame(
-        self,
-        frame: Dict[str, Any],
-        writer: asyncio.StreamWriter,
-        outbox: "_Outbox",
-    ) -> None:
-        """Dispatch one parsed frame; never raises (typed errors out)."""
+    def _dispatch(self, conn: _Connection, frame: Dict[str, Any]) -> None:
+        """Route one parsed frame; typed errors become reply frames."""
         req_id = frame.get("id")
         if not isinstance(req_id, int) or isinstance(req_id, bool):
             req_id = 0
         kind = frame.get("kind")
         try:
             if kind == "authorize":
-                await self._handle_authorize(frame, req_id, writer, outbox)
+                now = frame.get("now")
+                if not isinstance(now, int) or isinstance(now, bool):
+                    raise ProtocolError(
+                        "bad-request", "frame field 'now' must be an int"
+                    )
+                request = request_from_dict(frame.get("request"))
+                if not self._accepting:
+                    raise ProtocolError("bad-request", "edge is draining")
+                conn.pending.append((request, now, req_id, len(conn.replies)))
+                conn.replies.append(b"")
             elif kind in ("healthz", "readyz", "health"):
-                await self._send(
-                    writer, outbox, self._health_frame(kind, req_id)
+                conn.replies.append(
+                    encode_frame(self._health_frame(kind, req_id), self.max_frame)
                 )
             else:
                 raise ProtocolError(
                     "unknown-kind", f"unknown frame kind {kind!r}"
                 )
         except ProtocolError as exc:
-            await self._send_protocol_error(writer, outbox, req_id, exc)
-        except (ConnectionError, OSError):  # peer went away mid-response
-            pass
+            self._reply_error(conn, req_id, exc)
 
-    async def _handle_authorize(
-        self,
-        frame: Dict[str, Any],
-        req_id: int,
-        writer: asyncio.StreamWriter,
-        outbox: "_Outbox",
+    def _reply_error(
+        self, conn: _Connection, req_id: int, exc: ProtocolError
     ) -> None:
-        now = frame.get("now")
-        if not isinstance(now, int) or isinstance(now, bool):
-            raise ProtocolError("bad-request", "frame field 'now' must be an int")
-        request = request_from_dict(frame.get("request"))
-        if not self._accepting:
-            raise ProtocolError("bad-request", "edge is draining")
-        decision = await self._submit(request, now)
-        await self._send(
-            writer, outbox, self._decision_frame(req_id, decision)
+        self._protocol_errors.inc()
+        conn.replies.append(
+            encode_frame(
+                {
+                    "kind": "protocol-error",
+                    "id": req_id,
+                    "status": 400,
+                    "code": exc.code,
+                    "reason": str(exc),
+                    "fatal": exc.fatal,
+                },
+                self.max_frame,
+            )
         )
 
-    # batched admission ------------------------------------------------
+    def _decide(self, conn: _Connection) -> None:
+        """Admit one connection's tick of authorize frames as one batch.
 
-    def _submit(self, request: Any, now: int) -> "asyncio.Future":
-        """Queue one request for this tick's batch; future → decision."""
-        assert self._loop is not None
-        future = self._loop.create_future()
-        self._pending.append((request, now, future))
-        self._in_flight += 1
-        self._idle.clear()
-        if not self._flush_scheduled:
-            self._flush_scheduled = True
-            self._loop.call_soon(self._flush)
-        return future
-
-    def _flush(self) -> None:
-        """Admit and decide everything that arrived this tick in one batch.
-
-        A threaded service decides the batch on this (the loop) thread
-        and returns resolved tickets; a manual-mode service returns the
-        admitted ones pending until its caller pumps.
+        The threaded service decides the batch inside ``submit_batch``,
+        so every returned ticket is resolved.
         """
-        self._flush_scheduled = False
-        pending, self._pending = self._pending, []
-        if not pending:
-            return
+        pending, conn.pending = conn.pending, []
         self._batches.inc()
         self._batched_requests.inc(len(pending))
         tickets = self.service.submit_batch(
-            [(request, now) for request, now, _ in pending]
+            [(request, now) for request, now, _, _ in pending]
         )
-        for ticket, (_, _, future) in zip(tickets, pending):
-            if ticket.done():
-                self._resolve_future(future, ticket.result(0))
-            else:
-                threading.Thread(
-                    target=self._await_pump, args=(ticket, future),
-                    daemon=True,
-                ).start()
-
-    def _await_pump(self, ticket, future: "asyncio.Future") -> None:
-        """Wait for a manual-mode pump, then resolve on the loop."""
-        decision = ticket.result()
-        try:
-            self._loop.call_soon_threadsafe(
-                self._resolve_future, future, decision
+        for ticket, (_, _, req_id, slot) in zip(tickets, pending):
+            conn.replies[slot] = encode_frame(
+                self._decision_frame(req_id, ticket.result(0)), self.max_frame
             )
-        except RuntimeError:  # the loop closed while the ticket waited
-            pass
-
-    def _resolve_future(self, future: "asyncio.Future", decision) -> None:
-        self._in_flight -= 1
-        if self._in_flight == 0 and not self._pending:
-            self._idle.set()
-        if not future.done():  # connection may have been cancelled
-            future.set_result(decision)
 
     # response frames --------------------------------------------------
 
@@ -391,65 +413,14 @@ class EdgeServer:
             "report": health_report(self.service),
         }
 
-    async def _send(
-        self,
-        writer: asyncio.StreamWriter,
-        outbox: "_Outbox",
-        doc: Dict[str, Any],
-    ) -> None:
-        """Queue one response; the tick's first sender writes them all.
-
-        Every response a connection resolves in one loop tick joins one
-        ``write`` and one ``drain``: the sender that finds the outbox
-        empty yields once, so the rest of the tick's responses can
-        join, then writes whatever is pending under the connection's
-        write lock.
-        """
-        frames = outbox.frames
-        frames.append(encode_frame(doc, self.max_frame))
-        if len(frames) > 1:
-            return  # an earlier sender of this tick writes it
-        await asyncio.sleep(0)
-        async with outbox.lock:
-            data = b"".join(frames)
-            count = len(frames)
-            frames.clear()
-            writer.write(data)
-            await writer.drain()
-        self._responses_out.inc(count)
-
-    async def _send_protocol_error(
-        self,
-        writer: asyncio.StreamWriter,
-        outbox: "_Outbox",
-        req_id: int,
-        exc: ProtocolError,
-    ) -> None:
-        self._protocol_errors.inc()
-        try:
-            await self._send(
-                writer,
-                outbox,
-                {
-                    "kind": "protocol-error",
-                    "id": req_id,
-                    "status": 400,
-                    "code": exc.code,
-                    "reason": str(exc),
-                    "fatal": exc.fatal,
-                },
-            )
-        except (ConnectionError, OSError):  # pragma: no cover
-            pass
-
 
 class EdgeHandle:
     """A running edge on a background thread (sync-world handle).
 
     ``host``/``port`` are live once :func:`serve_in_thread` returns.
-    :meth:`shutdown` drains gracefully (stop accepting → in-flight
-    flushed → loop stopped) — the SIGTERM path of the ``serve`` CLI
-    calls exactly this.
+    :meth:`shutdown` drains gracefully (stop accepting → pending batch
+    flushed → connections closed → loop stopped) — the SIGTERM path of
+    the ``serve`` CLI calls exactly this.
     """
 
     def __init__(self, edge: EdgeServer, loop: asyncio.AbstractEventLoop,
@@ -470,7 +441,7 @@ class EdgeHandle:
         return self.edge.stats()
 
     def shutdown(self, timeout: float = 30.0) -> bool:
-        """Graceful drain + loop stop; returns False on drain timeout."""
+        """Graceful drain + loop stop; returns what the drain returned."""
         if not self._thread.is_alive():
             return True
         drained = asyncio.run_coroutine_threadsafe(
@@ -501,7 +472,8 @@ def serve_in_thread(
     Scenarios, benchmarks and the conformance tests use this: the
     test/driver thread stays synchronous while the edge's event loop
     runs beside it, exactly like the ``serve`` CLI process but
-    in-process.
+    in-process.  ``service`` must be threaded (:class:`EdgeServer`
+    raises :class:`ServiceError` otherwise).
     """
     edge = EdgeServer(service, host=host, port=port, max_frame=max_frame)
     loop = asyncio.new_event_loop()
@@ -514,14 +486,6 @@ def serve_in_thread(
         try:
             loop.run_forever()
         finally:
-            # Cancel stragglers so the loop closes without warnings.
-            tasks = asyncio.all_tasks(loop)
-            for task in tasks:
-                task.cancel()
-            if tasks:
-                loop.run_until_complete(
-                    asyncio.gather(*tasks, return_exceptions=True)
-                )
             loop.close()
 
     thread = threading.Thread(target=_run, name="edge-loop", daemon=True)

@@ -33,13 +33,12 @@ requests the server will accept (the ``serve --client-bundle`` /
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import struct
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..coalition.domain import User
 from ..coalition.protocol import AuthorizationDecision
@@ -66,7 +65,6 @@ __all__ = [
     "decode_header",
     "decode_body",
     "decode_frame",
-    "read_frame_async",
     "request_to_dict",
     "request_from_dict",
     "decision_to_dict",
@@ -182,36 +180,6 @@ def decode_frame(
             "truncated",
             f"frame announces {length} body bytes, buffer has {len(body)}",
         )
-    return decode_body(body)
-
-
-async def read_frame_async(
-    reader: "asyncio.StreamReader", max_frame: int = DEFAULT_MAX_FRAME
-) -> Optional[Dict[str, Any]]:
-    """Read one frame from an asyncio stream.
-
-    Returns ``None`` on a clean EOF *between* frames; a connection that
-    dies mid-header or mid-body raises ``ProtocolError("truncated")``.
-    An oversized announced length raises before the body is read.
-    """
-    try:
-        header = await reader.readexactly(HEADER_SIZE)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ProtocolError(
-            "truncated",
-            f"connection closed mid-header "
-            f"({len(exc.partial)}/{HEADER_SIZE} bytes)",
-        ) from exc
-    length = decode_header(header, max_frame)
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError(
-            "truncated",
-            f"connection closed mid-body ({len(exc.partial)}/{length} bytes)",
-        ) from exc
     return decode_body(body)
 
 

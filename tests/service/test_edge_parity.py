@@ -29,6 +29,8 @@ from repro.service.wire import (
     EdgeClient,
     decision_to_dict,
     decision_wire_bytes,
+    encode_frame,
+    request_to_dict,
 )
 
 
@@ -116,35 +118,49 @@ class TestByteParity:
 
 class TestShedTranslation:
     def test_overloaded_maps_to_retry_with_short_hint(self, service_coalition):
-        """Manual mode, queue depth 1: pipelined extras shed as 503s."""
+        """Queue depth 1: a pipelined burst sheds its extras as 503s.
+
+        The three frames leave in one ``send_raw`` (one loopback
+        segment), so they parse in one loop tick and go down as one
+        batch: one request fills the queue and is decided, the other
+        two are shed at admission.
+        """
         ctx, make_service = service_coalition
-        service = make_service(mode="manual", num_shards=1, queue_depth=1)
+        service = make_service(mode="threaded", num_shards=1, queue_depth=1)
         stream = _seeded_stream(ctx, seed=3, count=3, objects=("ObjectO",))
         handle = serve_in_thread(service)
         try:
             with EdgeClient("127.0.0.1", handle.port) as client:
-                for i, req in enumerate(stream):
-                    client.send_authorize(req, now=i + 1, req_id=i)
-                # Nothing pumps yet: exactly queue_depth=1 requests sit
-                # admitted; the other two were shed at admission and
-                # their retry frames arrive without any evaluation.
+                client.send_raw(b"".join(
+                    encode_frame({
+                        "kind": "authorize",
+                        "id": i,
+                        "now": i + 1,
+                        "request": request_to_dict(req),
+                    })
+                    for i, req in enumerate(stream)
+                ))
                 responses = {}
-                for _ in range(2):
+                for _ in range(3):
                     response = client.recv_response()
                     responses[response["id"]] = response
-                for response in responses.values():
-                    assert response["kind"] == "retry"
+                retries = [
+                    r for r in responses.values() if r["kind"] == "retry"
+                ]
+                assert len(retries) == 2
+                for response in retries:
                     assert response["status"] == 503
                     assert response["retry_after"] == RETRY_AFTER_OVERLOADED_S
                     assert response["decision"]["type"] == "overloaded"
                     assert response["decision"]["granted"] is False
                     assert response["decision"]["queue_depth"] == 1
-                # Pumping resolves the admitted one as a real decision.
-                service.pump()
-                final = client.recv_response()
+                # The queued one resolves as a real decision.
+                (final,) = [
+                    r for r in responses.values() if r["kind"] != "retry"
+                ]
                 assert final["kind"] == "decision"
                 assert final["status"] == 200
-                assert final["id"] not in responses
+                assert sorted(responses) == [0, 1, 2]
         finally:
             handle.shutdown()
 

@@ -13,8 +13,10 @@ Two layers of coverage:
   connections afterwards — a garbage frame must never crash a handler.
 """
 
+import asyncio
 import copy
 import json
+import socket
 import struct
 import sys
 import threading
@@ -24,7 +26,8 @@ import pytest
 
 from repro.coalition import build_joint_request
 from repro.service import wire
-from repro.service.edge import serve_in_thread
+from repro.service import ServiceError
+from repro.service.edge import EdgeServer, serve_in_thread
 from repro.service.wire import (
     DEFAULT_MAX_FRAME,
     HEADER_SIZE,
@@ -362,6 +365,37 @@ class TestWarmInternTable:
             assert len(wire._documents) <= wire.INTERN_CAPACITY
 
 
+def _authorize_frame(request, now, req_id):
+    return encode_frame(
+        {
+            "kind": "authorize",
+            "id": req_id,
+            "now": now,
+            "request": request_to_dict(request),
+        }
+    )
+
+
+def _on_loop(handle, fn):
+    """Run ``fn`` on the edge's event loop thread; return its result."""
+
+    async def call():
+        return fn()
+
+    return asyncio.run_coroutine_threadsafe(call(), handle._loop).result(10)
+
+
+def _server_side(handle, client):
+    """The edge's protocol object for ``client``'s connection."""
+    local = client._sock.getsockname()
+    (conn,) = [
+        conn
+        for conn in handle.edge._connections
+        if conn.transport.get_extra_info("peername") == local
+    ]
+    return conn
+
+
 @pytest.fixture()
 def live_edge(service_coalition):
     """A threaded service behind a real listening edge."""
@@ -546,3 +580,130 @@ class TestLiveServer:
         # No connection carried more than ``churn_every`` requests.
         assert handle.stats()["connections_total"] >= total // churn_every
         assert service.stats()["service"]["submitted"] == total
+
+    def test_frames_split_into_single_bytes(self, live_edge):
+        """Two frames trickling in one byte per segment: one answer each."""
+        ctx, service, handle = live_edge
+        data = b"".join(
+            _authorize_frame(
+                _read(ctx["users"], ctx["read_cert"], "ObjectO", i + 1,
+                      f"byte-{i}"),
+                i + 1,
+                10 + i,
+            )
+            for i in range(2)
+        )
+        with EdgeClient("127.0.0.1", handle.port) as client:
+            for k in range(len(data)):
+                client.send_raw(data[k:k + 1])
+            responses = [client.recv_frame() for _ in range(2)]
+            assert sorted(r["id"] for r in responses) == [10, 11]
+            for response in responses:
+                assert response["kind"] == "decision"
+                assert response["decision"]["granted"] is True
+            # Nothing else was queued for this connection.
+            assert client.probe("healthz", req_id=12)["id"] == 12
+        assert service.stats()["service"]["submitted"] == 2
+
+    def test_mixed_frames_in_one_segment(self, live_edge):
+        """Authorize, probe and unknown kind in one write: three answers."""
+        ctx, service, handle = live_edge
+        request = _read(ctx["users"], ctx["read_cert"], "ObjectP", 4, "mix-1")
+        with EdgeClient("127.0.0.1", handle.port) as client:
+            client.send_raw(
+                _authorize_frame(request, 4, 1)
+                + encode_frame({"kind": "healthz", "id": 2})
+                + encode_frame({"kind": "teleport", "id": 3})
+            )
+            responses = {}
+            for _ in range(3):
+                response = client.recv_frame()
+                responses[response["id"]] = response
+            assert sorted(responses) == [1, 2, 3]
+            assert responses[1]["kind"] == "decision"
+            assert responses[1]["decision"]["granted"] is True
+            assert responses[2]["kind"] == "health"
+            assert responses[2]["status"] == 200
+            assert responses[3]["kind"] == "protocol-error"
+            assert responses[3]["code"] == "unknown-kind"
+            assert responses[3]["fatal"] is False
+            # The connection keeps serving.
+            assert client.healthz()["status"] == 200
+
+    @pytest.mark.parametrize("cut", [3, HEADER_SIZE + 3])
+    def test_half_frame_then_half_close_is_truncated(self, live_edge, cut):
+        ctx, service, handle = live_edge
+        frame = encode_frame({"kind": "healthz", "id": 5})
+        with EdgeClient("127.0.0.1", handle.port) as client:
+            client.send_raw(frame[:cut])
+            client._sock.shutdown(socket.SHUT_WR)
+            response = client.recv_frame()
+            assert response["kind"] == "protocol-error"
+            assert response["code"] == "truncated"
+            assert response["fatal"] is True
+            assert response["id"] == 0
+            # Then the server hangs up.
+            with pytest.raises(ConnectionError):
+                client.recv_frame()
+        with EdgeClient("127.0.0.1", handle.port) as client:
+            assert client.healthz()["status"] == 200
+
+    def test_draining_edge_refuses_authorize_on_open_connection(
+        self, live_edge
+    ):
+        ctx, service, handle = live_edge
+        with EdgeClient("127.0.0.1", handle.port) as client:
+            assert client.healthz()["status"] == 200
+            drained = asyncio.run_coroutine_threadsafe(
+                handle.edge.drain(5.0), handle._loop
+            ).result(10)
+            assert drained is True
+            request = _read(ctx["users"], ctx["read_cert"], "ObjectO", 6, "dr-1")
+            response = client.authorize(request, now=6, req_id=3)
+            assert response["kind"] == "protocol-error"
+            assert response["code"] == "bad-request"
+            assert response["reason"] == "edge is draining"
+            assert response["id"] == 3
+            assert response["fatal"] is False
+            # The connection still answers probes.
+            assert client.healthz()["status"] == 200
+        assert service.stats()["service"]["submitted"] == 0
+
+    def test_paused_connection_is_answered_after_resume(self, live_edge):
+        """``pause_writing`` stops reading that connection, and only it.
+
+        The hook is driven directly: a client that does not read fills
+        loopback's kernel buffers long before the edge's write buffer
+        reaches its high-water mark.
+        """
+        ctx, service, handle = live_edge
+        requests = [
+            _read(ctx["users"], ctx["read_cert"], "ObjectO", i + 1, f"bp-{i}")
+            for i in range(3)
+        ]
+        with EdgeClient("127.0.0.1", handle.port) as paused, EdgeClient(
+            "127.0.0.1", handle.port
+        ) as other:
+            assert paused.healthz()["status"] == 200  # connection is up
+            conn = _on_loop(handle, lambda: _server_side(handle, paused))
+            _on_loop(handle, conn.pause_writing)
+            for i, request in enumerate(requests):
+                paused.send_authorize(request, now=i + 1, req_id=i)
+            paused._sock.settimeout(0.5)
+            with pytest.raises(socket.timeout):
+                paused.recv_frame()
+            paused._sock.settimeout(30)
+            # Another connection is still served.
+            request = _read(ctx["users"], ctx["read_cert"], "ObjectP", 9, "bp-x")
+            assert other.authorize(request, now=9, req_id=9)["id"] == 9
+            _on_loop(handle, conn.resume_writing)
+            responses = [paused.recv_frame() for _ in range(3)]
+            assert sorted(r["id"] for r in responses) == [0, 1, 2]
+            assert all(r["decision"]["granted"] for r in responses)
+            # Each id was answered exactly once.
+            assert paused.probe("healthz", req_id=7)["id"] == 7
+
+    def test_edge_refuses_manual_mode(self, service_coalition):
+        ctx, make_service = service_coalition
+        with pytest.raises(ServiceError):
+            EdgeServer(make_service(mode="manual"))
