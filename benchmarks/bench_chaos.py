@@ -3,7 +3,7 @@
 The chaos run submits the fixture's request stream
 (``repro.service.fixture``) to a threaded service with a fault plan
 attached: an ``InjectedFault`` every 50th evaluation plus one forced
-worker kill on shard 0.  The acceptance bar is the DESIGN.md §11
+decider kill.  The acceptance bar is the DESIGN.md §11
 no-stranding invariant — every submitted ticket resolves to a typed
 decision, the errored count in the metrics snapshot matches the
 injector's ledger, and the latency tail is recorded next to the
@@ -34,8 +34,8 @@ SEED = 23
 # against the injector's ledger.
 CHAOS = ChaosConfig(
     raise_every=50,  # ~2% of evaluations fault
-    kill_shard=0,
-    kill_after=5,  # one loop-top kill once shard 0 has served 5
+    kill_times=1,
+    kill_after=5,  # one loop-top kill once the decider has decided 5
 )
 
 
@@ -50,8 +50,8 @@ class ChaosRow:
     granted: int = 0
     errored: int = 0
     overloaded: int = 0
-    worker_crashes: int = 0
-    worker_restarts: int = 0
+    crashes: int = 0
+    restarts: int = 0
     stranded: int = 0
     p50_ms: float = 0.0
     p95_ms: float = 0.0
@@ -64,7 +64,6 @@ class ChaosRow:
 
 def _fixture(chaos):
     service = AuthorizationService(
-        num_shards=4,
         queue_depth=1024,
         freshness_window=10**9,
         chaos=chaos,
@@ -94,8 +93,8 @@ def _run(fixture, chaos):
         granted=stats["service"]["granted"],
         errored=sum(isinstance(t.result(0), Errored) for t in served),
         overloaded=len(done) - len(served),
-        worker_crashes=stats["health"]["worker_crashes"],
-        worker_restarts=stats["health"]["worker_restarts"],
+        crashes=stats["health"]["crashes"],
+        restarts=stats["health"]["restarts"],
         stranded=len(tickets) - len(done),
         p50_ms=percentile(latencies, 0.50) * 1000,
         p95_ms=percentile(latencies, 0.95) * 1000,
@@ -105,7 +104,7 @@ def _run(fixture, chaos):
 
 
 def test_chaos_run_strands_nothing(service_report):
-    """Faults every 50th evaluation + one worker kill: full accounting."""
+    """Faults every 50th evaluation + one decider kill: full accounting."""
     injector = FaultInjector(CHAOS)
     fixture = _fixture(injector)
     try:
@@ -115,8 +114,8 @@ def test_chaos_run_strands_nothing(service_report):
         assert report.stranded == 0, "every ticket must resolve"
         chaos_stats = injector.stats()
         assert report.errored == chaos_stats["faults_raised"] > 0
-        assert report.worker_crashes == chaos_stats["kills_fired"] == 1
-        assert report.worker_restarts == 1, "one logical restart"
+        assert report.crashes == chaos_stats["kills_fired"] == 1
+        assert report.restarts == 1, "one logical restart"
         # Every arrival accounted for, by type.
         assert (
             report.evaluated + report.errored + report.overloaded
@@ -128,8 +127,8 @@ def test_chaos_run_strands_nothing(service_report):
         snapshot = fixture.service.metrics_snapshot()
         counters = snapshot["counters"]
         assert counters["service.errored"] == report.errored
-        assert counters["service.worker_crashes"] == 1
-        assert counters["service.worker_restarts"] == 1
+        assert counters["service.crashes"] == 1
+        assert counters["service.restarts"] == 1
         # The histogram agrees with the nearest-rank p95 of the run's
         # own ticket latencies to within one bucket (nearest-rank over
         # bucket upper bounds).
@@ -151,7 +150,7 @@ def test_chaos_off_control_is_clean(service_report):
 
         assert report.stranded == 0
         assert report.errored == 0
-        assert report.worker_crashes == 0 and report.worker_restarts == 0
+        assert report.crashes == 0 and report.restarts == 0
         assert report.evaluated == report.submitted
         assert report.overloaded == 0
     finally:

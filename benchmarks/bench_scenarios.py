@@ -22,7 +22,6 @@ from repro.service.scenarios import SCENARIOS, ScenarioRunner
 
 SMOKE = os.environ.get("SERVICE_BENCH_SMOKE") == "1"
 SEED = 11
-NUM_SHARDS = 4
 
 SMOKE_SET = ("stale-cert-adversary", "chaos-storm")
 
@@ -35,7 +34,7 @@ def _names():
 
 def test_scenarios_record_rows(service_report):
     """Every scenario upholds its invariants and records a bench row."""
-    runner = ScenarioRunner(mode="threaded", num_shards=NUM_SHARDS, seed=SEED)
+    runner = ScenarioRunner(mode="threaded", seed=SEED)
     for name in _names():
         report = runner.run(SCENARIOS[name])
         # The report's own name key lands in the row; prefix it so
@@ -44,7 +43,7 @@ def test_scenarios_record_rows(service_report):
         service_report(
             report.name,
             report,
-            faults_survived=report.faults_injected + report.workers_killed,
+            faults_survived=report.faults_injected + report.kills,
         )
         assert report.ok, (
             f"{name}: invariant violations: {report.violations()}"
@@ -60,12 +59,7 @@ def test_scenarios_record_rows(service_report):
 
 def test_scenario_over_edge_records_row(service_report):
     """One scenario's traffic over real TCP: same invariants, one row."""
-    runner = ScenarioRunner(
-        mode="threaded",
-        num_shards=NUM_SHARDS,
-        transport="edge",
-        seed=SEED,
-    )
+    runner = ScenarioRunner(mode="threaded", transport="edge", seed=SEED)
     report = runner.run(SCENARIOS["stale-cert-adversary"])
     report.name = "scenario-stale-cert-adversary-edge"
     service_report(report.name, report, faults_survived=0)

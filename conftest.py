@@ -4,7 +4,7 @@ CI installs ``pytest-timeout`` (see the ``[test]`` extras) and enforces
 the ``timeout`` ini option natively.  Offline environments without the
 plugin would otherwise warn about the unknown option and — worse —
 hang forever on exactly the class of bug the option guards against (a
-dead shard worker stranding ``drain()``), so when the plugin is absent
+stranded ticket hanging ``drain()``), so when the plugin is absent
 this conftest registers the option itself and enforces it with a
 SIGALRM timer around each test call.  The fallback covers the common
 case (blocked main thread on a POSIX platform); the real plugin, when

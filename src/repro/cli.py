@@ -168,9 +168,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     fixture = attach_coalition(
         AuthorizationService(
-            num_shards=args.shards,
-            queue_depth=args.queue_depth,
-            freshness_window=10**9,
+            queue_depth=args.queue_depth, freshness_window=10**9
         ),
         num_objects=args.objects,
         key_bits=args.bits,
@@ -197,20 +195,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             with open(args.port_file, "w", encoding="utf-8") as handle_file:
                 handle_file.write(str(handle.port))
         print(
-            f"edge listening on {handle.host}:{handle.port} "
-            f"({args.shards} shards)",
-            flush=True,
+            f"edge listening on {handle.host}:{handle.port}", flush=True
         )
         stop.wait()
         print("draining edge…", flush=True)
-        drained = handle.shutdown(timeout=args.drain_timeout)
+        handle.shutdown()
         stats = handle.stats()
         print(
-            f"drained={drained} connections={stats['connections_total']} "
+            f"drained: connections={stats['connections_total']} "
             f"responses={stats['responses_out']} batches={stats['batches']}",
             flush=True,
         )
-        return 0 if drained else 1
+        return 0
     finally:
         fixture.service.close()
 
@@ -232,7 +228,8 @@ def _cmd_edge_smoke(args: argparse.Namespace) -> int:
         ready = client.readyz()
         print(
             f"healthz={health['status']} readyz={ready['status']} "
-            f"shards={health['report']['total_shards']}",
+            f"queue={health['report']['queue_depth']}/"
+            f"{health['report']['queue_limit']}",
             flush=True,
         )
         if health["status"] != 200 or ready["status"] != 200:
@@ -278,7 +275,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.service.fixture import attach_coalition
 
     service = AuthorizationService(
-        num_shards=2,
         mode="manual",
         tracing=True,
         audit_log=AuditLog(key_bits=args.bits),
@@ -328,7 +324,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.service.fixture import attach_coalition
 
     service = AuthorizationService(
-        num_shards=args.shards, freshness_window=10**9, tracing=args.tracing
+        freshness_window=10**9, tracing=args.tracing
     )
     try:
         fixture = attach_coalition(service, key_bits=args.bits)
@@ -344,7 +340,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _cmd_health(args: argparse.Namespace) -> int:
     """Run a traffic sample (optionally under chaos), print the probes.
 
-    Exit code is the readiness verdict: 0 when every shard is ready for
+    Exit code is the readiness verdict: 0 when the service is ready for
     new traffic, 1 otherwise — so the subcommand doubles as a scriptable
     health check.  ``--chaos-*`` flags inject deterministic faults to
     demonstrate degradation under faults (E16).
@@ -355,16 +351,15 @@ def _cmd_health(args: argparse.Namespace) -> int:
     from repro.service.fixture import attach_coalition
 
     chaos = None
-    if args.chaos_raise_every or args.kill_shard >= 0:
+    if args.chaos_raise_every or args.kills:
         chaos = FaultInjector(
             ChaosConfig(
                 raise_every=args.chaos_raise_every,
-                kill_shard=args.kill_shard,
+                kill_times=args.kills,
                 kill_after=args.kill_after,
             )
         )
     service = AuthorizationService(
-        num_shards=args.shards,
         queue_depth=args.queue_depth,
         freshness_window=10**9,
         chaos=chaos,
@@ -373,43 +368,25 @@ def _cmd_health(args: argparse.Namespace) -> int:
         fixture = attach_coalition(service, key_bits=args.bits)
         tickets = _run_sample(fixture, args.requests, args.seed)
         stranded = sum(1 for ticket in tickets if not ticket.done())
-        stats = service.stats()
-        traffic, health = stats["service"], stats["health"]
+        traffic = service.stats()["service"]
         probe = service.health()
         if args.json:
             print(json.dumps(probe, indent=2, sort_keys=True))
         else:
-            live = probe["liveness"]
-            ready = probe["readiness"]
             print(
-                f"liveness:  live={live['live']} "
-                f"workers_alive={live['workers_alive']}/{live['total_shards']}"
+                f"health:  live={probe['live']} ready={probe['ready']} "
+                f"breaker={probe['breaker']} crashes={probe['crashes']} "
+                f"restarts={probe['restarts']} "
+                f"queue={probe['queue_depth']}/{probe['queue_limit']} "
+                f"staleness={probe['epoch_staleness']}"
             )
             print(
-                f"readiness: ready={ready['ready']} "
-                f"degraded={ready['degraded']} "
-                f"ready_shards={ready['ready_shards']}/{ready['total_shards']}"
-            )
-            print(
-                f"traffic:   evaluated={traffic['evaluated']} "
+                f"traffic: evaluated={traffic['evaluated']} "
                 f"errored={traffic['errored']} "
                 f"overloaded={traffic['overloaded']} "
-                f"crashes={health['worker_crashes']} "
-                f"restarts={health['worker_restarts']} "
                 f"stranded={stranded}"
             )
-            print(
-                f"{'shard':>5} {'alive':>6} {'breaker':>8} {'crashes':>8} "
-                f"{'restarts':>9} {'queue':>6} {'staleness':>10} {'ready':>6}"
-            )
-            for s in probe["shards"]:
-                print(
-                    f"{s['shard']:>5} {str(s['worker_alive']):>6} "
-                    f"{s['breaker']:>8} {s['crashes']:>8} {s['restarts']:>9} "
-                    f"{s['queue_depth']:>6} {s['epoch_staleness']:>10} "
-                    f"{str(s['ready']):>6}"
-                )
-        return 0 if probe["readiness"]["ready"] else 1
+        return 0 if probe["ready"] else 1
     finally:
         service.close()
 
@@ -433,7 +410,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     manifest = ReplayManifest(
         total_requests=args.requests,
-        num_shards=args.shards,
         num_objects=args.objects,
         read_fraction=args.read_fraction,
         deny_fraction=args.deny_fraction,
@@ -518,7 +494,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     try:
         runner = ScenarioRunner(
             mode=args.mode,
-            num_shards=args.shards,
             transport=args.transport,
             seed=args.seed,
             key_bits=args.bits,
@@ -601,11 +576,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument(
         "--port", type=int, default=0, help="0 = pick a free port"
     )
-    serve_cmd.add_argument("--shards", type=int, default=4)
     serve_cmd.add_argument("--queue-depth", type=int, default=256)
     serve_cmd.add_argument("--objects", type=int, default=8)
     serve_cmd.add_argument("--bits", type=int, default=256)
-    serve_cmd.add_argument("--drain-timeout", type=float, default=30.0)
     serve_cmd.add_argument(
         "--client-bundle", default="", metavar="PATH",
         help="export client signing material (users, certs) as JSON",
@@ -644,7 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics",
         help="run a traffic sample, print the merged metrics snapshot",
     )
-    metrics.add_argument("--shards", type=int, default=2)
     metrics.add_argument("--requests", type=int, default=50)
     metrics.add_argument("--bits", type=int, default=256)
     metrics.add_argument("--seed", type=int, default=0)
@@ -658,7 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
         "health",
         help="liveness/readiness probes after a (chaos-optional) sample",
     )
-    health.add_argument("--shards", type=int, default=4)
     health.add_argument("--requests", type=int, default=50)
     health.add_argument("--queue-depth", type=int, default=256)
     health.add_argument("--bits", type=int, default=256)
@@ -668,12 +639,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject an evaluation fault every N tickets (0 = off)",
     )
     health.add_argument(
-        "--kill-shard", type=int, default=-1, metavar="S",
-        help="kill shard S's worker once, mid-run (-1 = off)",
+        "--kills", type=int, default=0, metavar="N",
+        help="kill the decider N times, mid-run (0 = off)",
     )
     health.add_argument(
         "--kill-after", type=int, default=10, metavar="K",
-        help="the kill fires after the worker processed K tickets",
+        help="a kill fires once the decider decided K tickets",
     )
     health.add_argument("--json", action="store_true")
     health.set_defaults(func=_cmd_health)
@@ -690,7 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="first record a fresh workload into --wal-dir",
     )
     replay.add_argument("--requests", type=int, default=200)
-    replay.add_argument("--shards", type=int, default=1)
     replay.add_argument("--objects", type=int, default=4)
     replay.add_argument("--read-fraction", type=float, default=0.4)
     replay.add_argument(
@@ -722,7 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list", action="store_true", help="list registered scenarios"
     )
     scenario.add_argument("--seed", type=int, default=0)
-    scenario.add_argument("--shards", type=int, default=2)
     scenario.add_argument(
         "--mode", choices=["threaded", "manual"],
         default="manual",

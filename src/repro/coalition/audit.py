@@ -106,7 +106,7 @@ class AuditLog:
         self._tail_digest = _GENESIS
         # Appends read the previous digest and extend the chain; the
         # lock makes that read-extend atomic so concurrent submitters
-        # of the sharded service can share one log.
+        # of the threaded service can share one log.
         self._lock = threading.RLock()
         # Optional durability sink (repro.storage.wal.WriteAheadLog):
         # when bound, every signed entry is appended to the WAL inside

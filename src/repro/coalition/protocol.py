@@ -81,7 +81,7 @@ class NonceLedger:
     to their forget-after time and a deque drives expiry.  The ledger is
     lock-protected so protocol forks of successive epochs
     (:mod:`repro.service`) can share one global replay window — replay
-    protection must span shards and epochs, unlike belief state.
+    protection must span epochs, unlike belief state.
 
     The ledger also keeps a digest of the message receipts each
     accepted request recorded, forgotten with its nonce: an audit trusts
@@ -186,8 +186,8 @@ class AuthorizationProtocol:
         self._trusted_aa_keys: Dict[str, SharedRSAPublicKey] = {}
         self._trusted_ra_keys: Dict[str, RSAPublicKey] = {}
         # Replay protection.  The ledger may be shared across protocol
-        # forks (service shards): replays must deny globally even when
-        # belief state is sharded/epoched.
+        # forks (service epochs): replays must deny globally even when
+        # belief state is epoched.
         # (`is not None`, not `or`: an empty shared ledger is falsy.)
         self.nonces = (
             nonce_ledger
@@ -644,7 +644,7 @@ class AuthorizationProtocol:
 
         The shared nonce ledger is *not* gauged here: it is global to
         the server/service that owns it, and summing one shared size
-        across shard forks would multiply it (see DESIGN.md §10).
+        across epoch forks would multiply it (see DESIGN.md §10).
         """
         self._gauge_cache_entries.set(len(self._cert_cache))
         return MetricsRegistry.merge(

@@ -5,9 +5,9 @@ Two halves, one purpose — making every authorization decision
 
 * ``metrics``: :class:`MetricsRegistry` with typed counters, gauges and
   fixed-bucket histograms; deterministic ``snapshot()`` (stable JSON
-  schema ``repro.metrics/v1``) and cross-shard ``merge()``.  The five
+  schema ``repro.metrics/v1``) and cross-layer ``merge()``.  The five
   formerly ad-hoc ``stats()`` dicts (belief store, derivation engine,
-  authorization protocol, coalition server, sharded service) are views
+  authorization protocol, coalition server, service) are views
   over these registries now.
 * ``trace``: per-request :class:`TraceSpan` trees threaded from service
   admission through queue wait, epoch pin, derivation (axiom names +

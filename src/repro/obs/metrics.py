@@ -1,7 +1,7 @@
 """Typed metrics: counters, gauges, and fixed-bucket histograms.
 
 Every layer of the stack (belief store, derivation engine,
-authorization protocol, coalition server, sharded service) used to
+authorization protocol, coalition server, service) used to
 report counters through its own ad-hoc ``stats()`` dict.  This module
 is the unified substrate those dicts now sit on: each component owns a
 :class:`MetricsRegistry`, hot paths increment :class:`Counter` /
@@ -11,19 +11,19 @@ registry values — callers of the old dicts never notice.
 
 Snapshots are plain dicts with a stable, versioned schema
 (:data:`SCHEMA`), so they serialize to JSON directly and merge across
-shards deterministically:
+layers and runs deterministically:
 
 * counters merge by **sum** (monotonic event counts),
-* gauges merge by **sum** (per-shard sizes add up; shared-structure
+* gauges merge by **sum** (per-run sizes add up; shared-structure
   gauges such as the global nonce ledger are reported once, at the
   layer that owns the structure),
 * histograms merge by **pointwise bucket sum** and require identical
   bucket bounds (mismatched bounds raise rather than silently skew).
 
 Registries are not themselves synchronized: hot-path owners already
-hold their own locks (per-shard evaluation locks, the service's
-admission lock), and a snapshot taken while workers run is weakly
-consistent — quiesce (``drain()``) first when exact totals matter.
+hold their own locks (the service's protocol and admission locks),
+and a snapshot taken while submitters run is weakly consistent —
+quiesce (``drain()``) first when exact totals matter.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ __all__ = [
 SCHEMA = "repro.metrics/v1"
 
 # Upper bounds (seconds) for latency histograms: ~100us to 10s, with an
-# implicit +inf bucket.  Fixed so cross-shard and cross-run merges line up.
+# implicit +inf bucket.  Fixed so cross-layer and cross-run merges line up.
 DEFAULT_LATENCY_BUCKETS_S: Tuple[float, ...] = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
     0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
@@ -101,7 +101,7 @@ class Histogram:
     ``bounds`` are ascending upper bounds; observations above the last
     bound land in an implicit overflow bucket, so ``len(counts) ==
     len(bounds) + 1``.  Bounds are fixed at construction: merges across
-    shards and runs are exact pointwise sums, never re-binned.
+    layers and runs are exact pointwise sums, never re-binned.
     """
 
     __slots__ = ("name", "bounds", "_counts", "_sum", "_count")
@@ -157,7 +157,7 @@ class MetricsRegistry:
     ``namespace`` prefixes every metric name in the snapshot
     (``service.submitted``), so snapshots from different layers merge
     without collisions while same-layer snapshots from different
-    shards merge by summing.
+    runs merge by summing.
     """
 
     def __init__(self, namespace: str = ""):
@@ -256,7 +256,7 @@ class MetricsRegistry:
 
     @staticmethod
     def merge(snapshots: Sequence[Dict[str, object]]) -> Dict[str, object]:
-        """Combine snapshots (e.g. one per shard) into one.
+        """Combine snapshots (e.g. one per layer) into one.
 
         Counters and gauges sum; histograms sum pointwise and must
         agree on bucket bounds.  Deterministic: the result depends only

@@ -18,7 +18,7 @@ objects, no clock reads, no buffer traffic.
 Span structure for a served request (see DESIGN.md §10)::
 
     request                 trace_id, operation, object, seq
-    ├─ admission            shard, epoch pinned at admission
+    ├─ admission            epoch pinned at admission
     ├─ queue_wait           push → decider dequeue
     ├─ epoch_pin            epoch_id the evaluation binds to
     ├─ derivation           granted, reason, axioms, proof_steps

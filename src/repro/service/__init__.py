@@ -1,18 +1,16 @@
-"""repro.service — the sharded, epoched authorization serving layer.
+"""repro.service — the epoched authorization serving layer.
 
 Sits in front of :class:`repro.coalition.protocol.AuthorizationProtocol`
 and provides what a single per-request protocol instance cannot:
 
-* shards keyed by resource, partitioning admission and decided on the
-  submitting thread (``sharding``),
-* immutable epoch snapshots of policy state, one protocol per epoch
-  shared by every shard, so revocations and ACL changes apply
-  atomically and once (``epoch``),
-* bounded admission queues with typed ``Overloaded`` load shedding and
-  in-flight dedup (``admission``),
-* per-ticket fault isolation (typed ``Errored`` outcomes), restart
-  budgets with circuit breaking (``admission``), liveness and
-  readiness probes (``health``), and a deterministic fault injector for
+* immutable epoch snapshots of policy state, one protocol per epoch,
+  so revocations and ACL changes apply atomically and once
+  (``epoch``),
+* one bounded admission queue with typed ``Overloaded`` load shedding,
+  decided in sequence order on the submitting thread (``admission``),
+* per-ticket fault isolation (typed ``Errored`` outcomes), a restart
+  budget with circuit breaking (``admission``), a liveness and
+  readiness probe (``health``), and a deterministic fault injector for
   adversarial testing (``chaos``),
 * an asyncio TCP front door speaking a length-prefixed JSON protocol
   (``edge``/``wire``),
@@ -28,18 +26,17 @@ engine.
 """
 
 from .admission import (
+    AdmissionQueue,
     CircuitBreaker,
     CircuitOpen,
     Errored,
     Overloaded,
-    ShardQueue,
     Ticket,
-    request_fingerprint,
 )
 from .chaos import ChaosConfig, FaultInjector, InjectedFault, WorkerKilled
 from .edge import EdgeHandle, EdgeServer, serve_in_thread
 from .epoch import Epoch, EpochManager, PolicyEntry
-from .health import ShardHealth, health_report, liveness, readiness
+from .health import health_report
 from .fixture import CoalitionFixture, attach_coalition
 from .scenarios import (
     SCENARIOS,
@@ -51,7 +48,6 @@ from .scenarios import (
     run_scenario,
 )
 from .service import AuthorizationService, ServiceError
-from .sharding import shard_for, shard_key
 from .wire import ClientBundle, EdgeClient, ProtocolError
 
 __all__ = [
@@ -61,8 +57,7 @@ __all__ = [
     "CircuitOpen",
     "Errored",
     "Ticket",
-    "ShardQueue",
-    "request_fingerprint",
+    "AdmissionQueue",
     "ChaosConfig",
     "FaultInjector",
     "InjectedFault",
@@ -70,10 +65,7 @@ __all__ = [
     "Epoch",
     "EpochManager",
     "PolicyEntry",
-    "ShardHealth",
     "health_report",
-    "liveness",
-    "readiness",
     "CoalitionFixture",
     "attach_coalition",
     "SCENARIOS",
@@ -89,7 +81,5 @@ __all__ = [
     "EdgeClient",
     "ClientBundle",
     "ProtocolError",
-    "shard_for",
-    "shard_key",
     "CircuitBreaker",
 ]

@@ -1,15 +1,12 @@
-"""Admission control: bounded queues, load shedding, tickets, dedup.
+"""Admission control: the bounded queue, load shedding, tickets.
 
 The service never blocks a submitter and never drops a request
-silently.  Every submission gets a :class:`Ticket`; when a shard's
+silently.  Every submission gets a :class:`Ticket`; when the admission
 queue is full the ticket is resolved immediately with a typed
 :class:`Overloaded` decision, so callers can distinguish "denied by
-policy" from "shed by the server" and retry with backoff.
-
-Identical concurrent requests (same operation, object, parts and
-decision time) coalesce onto one evaluation per shard: the second
-submitter receives the *same* ticket and therefore the same decision
-object, instead of paying a second derivation.
+policy" from "shed by the server" and retry with backoff.  A duplicate
+submission is not special here: it gets its own ticket, and the nonce
+ledger denies it as a replay.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional, Tuple
+from typing import Deque, Optional
 
 from ..coalition.protocol import AuthorizationDecision
 from ..coalition.requests import JointAccessRequest
@@ -29,8 +26,7 @@ __all__ = [
     "CircuitBreaker",
     "Errored",
     "Ticket",
-    "ShardQueue",
-    "request_fingerprint",
+    "AdmissionQueue",
 ]
 
 
@@ -38,13 +34,12 @@ __all__ = [
 class Overloaded(AuthorizationDecision):
     """A typed load-shed decision: the request was never evaluated.
 
-    ``granted`` is always False; ``shard``/``queue_depth`` say which
-    queue refused the work.  Being a real decision type (not an
+    ``granted`` is always False; ``queue_depth`` is the bound of the
+    queue that refused the work.  Being a real decision type (not an
     exception, not a silent drop) keeps the caller-facing contract
     uniform: every submitted request resolves to exactly one decision.
     """
 
-    shard: int = -1
     queue_depth: int = 0
 
     @property
@@ -54,24 +49,24 @@ class Overloaded(AuthorizationDecision):
 
 @dataclass
 class CircuitOpen(Overloaded):
-    """Shed because the shard's circuit breaker is open (shard FAILED).
+    """Shed because the service's circuit breaker is open.
 
-    Issued both at admission time (new requests for a failed shard)
-    and by the give-up failover that resolves the tickets a failed
-    shard had already queued.  ``restarts`` records how many restarts
-    the shard burned before its breaker gave up on it.
+    Issued both at admission time (new requests once the breaker
+    tripped) and by the give-up failover that resolves the tickets
+    already queued.  ``restarts`` records how many restarts the
+    decider burned before the breaker gave up.
     """
 
     restarts: int = 0
 
 
 class CircuitBreaker:
-    """Per-shard crash budget: closed (serving) or open (shedding).
+    """The decider's crash budget: closed (serving) or open (shedding).
 
     A crash within the budget is a logical restart: the decider keeps
-    draining the shard's queue.  The crash after ``max_restarts``
-    restarts trips the breaker open, and it stays open — give-up is
-    terminal for a shard; the service sheds its traffic with typed
+    draining the queue.  The crash after ``max_restarts`` restarts
+    trips the breaker open, and it stays open — give-up is terminal;
+    the service sheds its traffic with typed
     :class:`CircuitOpen` decisions instead of crash-looping.  Only the
     decider (under the service's decision lock) records crashes.
     """
@@ -93,7 +88,7 @@ class CircuitBreaker:
         """Account one crash; return whether it tripped the breaker.
 
         True means the budget is spent: the breaker is now open and the
-        caller must fail the shard over rather than restart it.
+        caller must fail the queue over rather than restart.
         """
         self.crashes += 1
         self.last_error = error_type
@@ -115,7 +110,6 @@ class Errored(AuthorizationDecision):
     and metrics can distinguish "denied by policy" from "errored".
     """
 
-    shard: int = -1
     error_type: str = ""
 
     @property
@@ -126,17 +120,15 @@ class Errored(AuthorizationDecision):
 class Ticket:
     """A pending decision: resolved exactly once by its decider.
 
-    Carries the admission-time pinning (epoch, shard, global sequence
-    number) plus wall-clock timestamps for latency percentiles.
+    Carries the admission-time pinning (epoch and sequence number)
+    plus wall-clock timestamps for latency percentiles.
     """
 
     __slots__ = (
         "request",
         "now",
         "epoch",
-        "shard",
         "seq",
-        "coalesced",
         "submitted_at",
         "completed_at",
         "trace",
@@ -150,20 +142,17 @@ class Ticket:
         request: JointAccessRequest,
         now: int,
         epoch: object,
-        shard: int,
         seq: int,
     ):
         self.request = request
         self.now = now
         self.epoch = epoch
-        self.shard = shard
         self.seq = seq
-        self.coalesced = 0  # extra submitters served by this evaluation
         self.submitted_at = time.perf_counter()
         self.completed_at: Optional[float] = None
         # Decision trace (repro.obs.trace): the root span of this
         # request's trace tree plus the open queue-wait child the
-        # worker closes at dequeue.  Both None when tracing is off.
+        # decider closes at dequeue.  Both None when tracing is off.
         self.trace = None
         self.queue_span = None
         self._decision: Optional[AuthorizationDecision] = None
@@ -181,9 +170,6 @@ class Ticket:
     def done(self) -> bool:
         return self._done.is_set()
 
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        return self._done.wait(timeout)
-
     def result(self, timeout: Optional[float] = None) -> AuthorizationDecision:
         if not self._done.wait(timeout):
             raise TimeoutError(f"ticket seq={self.seq} not resolved in time")
@@ -197,8 +183,12 @@ class Ticket:
         return self.completed_at - self.submitted_at
 
 
-class ShardQueue:
-    """A bounded FIFO of tickets; full means shed, never block or drop."""
+class AdmissionQueue:
+    """A bounded FIFO of tickets; full means shed, never block or drop.
+
+    Tickets are pushed under the admission lock and requeued at the
+    head, so the queue holds them in sequence (and epoch) order.
+    """
 
     def __init__(self, depth: int):
         if depth < 1:
@@ -210,14 +200,6 @@ class ShardQueue:
     def __len__(self) -> int:
         with self._lock:
             return len(self._items)
-
-    def try_push(self, ticket: Ticket) -> bool:
-        """Admit the ticket unless the queue is at depth (backpressure)."""
-        with self._lock:
-            if len(self._items) >= self.depth:
-                return False
-            self._items.append(ticket)
-            return True
 
     def try_push_batch(self, tickets: "list[Ticket]") -> int:
         """Admit a prefix of ``tickets``; return how many fit.
@@ -241,8 +223,8 @@ class ShardQueue:
 
         A decider that stops mid-batch (a crash, or a pump limit) hands
         its untouched remainder back so the next drain sees the
-        original admission order (a plain ``try_push`` would file them
-        behind tickets admitted later).  Deliberately ignores ``depth``
+        original admission order (a push would file them behind
+        tickets admitted later).  Deliberately ignores ``depth``
         — these tickets were already admitted once and must not be
         shed for a bound they previously fit inside.
         """
@@ -250,41 +232,26 @@ class ShardQueue:
             for ticket in reversed(tickets):
                 self._items.appendleft(ticket)
 
-    def drain_all(self) -> "list[Ticket]":
-        """Remove and return every queued ticket (a decider's take, or
-        give-up failover)."""
+    def take(self, limit: Optional[int] = None) -> "list[Ticket]":
+        """Remove and return the oldest ``limit`` queued tickets (all
+        when ``limit`` is None): a decider's take, or give-up
+        failover."""
         with self._lock:
-            items = list(self._items)
-            self._items.clear()
-            return items
+            items = self._items
+            if limit is None or limit >= len(items):
+                taken = list(items)
+                items.clear()
+                return taken
+            return [items.popleft() for _ in range(limit)]
 
     def head_epoch_id(self) -> Optional[int]:
         """Epoch id the head (oldest) queued ticket pinned, if any.
 
         Queues are FIFO and epochs are pinned monotonically at
         admission, so the head is the stalest — health probes report
-        ``current_epoch - head_epoch`` as the shard's epoch staleness.
+        ``current_epoch - head_epoch`` as the epoch staleness.
         """
         with self._lock:
             if not self._items:
                 return None
             return self._items[0].epoch.epoch_id
-
-
-def request_fingerprint(
-    request: JointAccessRequest, now: int
-) -> Tuple[object, ...]:
-    """Identity of an evaluation, for in-flight dedup.
-
-    Two submissions coalesce only when every decision-relevant input is
-    identical: operation, object, decision time, the threshold
-    certificate and the exact signed parts.  All components are frozen
-    dataclasses, so the tuple is hashable.
-    """
-    return (
-        request.operation,
-        request.object_name,
-        now,
-        request.attribute_certificate,
-        tuple(request.parts),
-    )

@@ -4,24 +4,25 @@ The availability claims of the breaker layer (DESIGN.md §11) are
 only as good as the faults they were tested against, so this module
 provides a :class:`FaultInjector` the service consults on its hot
 path: once per evaluation (:meth:`FaultInjector.before_evaluate`) and
-once per worker-loop iteration (:meth:`FaultInjector.on_worker_loop`).
+once per decider-loop iteration (:meth:`FaultInjector.on_worker_loop`).
 Every fault kind is reproducible:
 
 * **raise-on-nth** — raise :class:`InjectedFault` inside evaluation on
   every ``raise_every``-th evaluation (global, admission-pinned count)
   and/or with a seeded per-evaluation probability ``raise_prob``.
   Exercises per-ticket fault isolation: the ticket must resolve as a
-  typed ``Errored`` decision and the worker must keep draining.
+  typed ``Errored`` decision and the decider must keep draining.
 * **slow-evaluate** — sleep ``slow_s`` inside every ``slow_every``-th
   evaluation.  Exercises queue backpressure and latency tails.
-* **worker-kill** — raise :class:`WorkerKilled` so the shard's decider
-  crashes outright: a logical restart charged to the shard's circuit
+* **kill** — raise :class:`WorkerKilled` so the decider crashes
+  outright: a logical restart charged to the service's circuit
   breaker.  ``WorkerKilled`` derives from ``BaseException`` *on
   purpose*: per-ticket isolation catches ``Exception``, so a kill
   cannot be absorbed as a mere errored ticket — it must travel the
-  crash path.  ``kill_in_flight``
-  kills mid-evaluation (a ticket in hand); otherwise the worker dies
-  at the loop top after ``kill_after`` processed tickets.
+  crash path.  ``kill_times`` kills are delivered (0 = none);
+  ``kill_in_flight`` kills mid-evaluation (a ticket in hand);
+  otherwise the decider dies at the loop top once it decided
+  ``kill_after`` tickets since its last restart.
 * **scripted actions** — :meth:`FaultInjector.at` runs an arbitrary
   callback on the n-th evaluation (e.g. publish an epoch mid-flight to
   prove admission-time pinning holds under churn).
@@ -48,11 +49,11 @@ class InjectedFault(RuntimeError):
 
 
 class WorkerKilled(BaseException):
-    """Crashes a shard's worker outright (see the module docstring).
+    """Crashes the decider outright (see the module docstring).
 
     Deliberately **not** an ``Exception`` subclass: per-ticket fault
     isolation (``except Exception``) must not be able to swallow a
-    worker kill, exactly as it cannot swallow ``KeyboardInterrupt``.
+    kill, exactly as it cannot swallow ``KeyboardInterrupt``.
     """
 
 
@@ -64,20 +65,19 @@ class ChaosConfig:
     raise_prob: float = 0.0  # seeded per-evaluation fault probability
     slow_every: int = 0  # sleep inside every nth evaluation (0 = off)
     slow_s: float = 0.0  # how long slow-evaluate sleeps
-    kill_shard: int = -1  # shard whose worker dies (-1 = no kills)
-    kill_after: int = 0  # loop-top kill once the worker processed >= this many
+    kill_times: int = 0  # total kills to deliver (0 = off; restarts re-die)
+    kill_after: int = 0  # loop-top kill once the decider decided >= this many
     kill_in_flight: bool = False  # kill mid-evaluation instead (ticket in hand)
-    kill_times: int = 1  # total kills to deliver (restarted workers re-die)
     seed: int = 0  # seeds the raise_prob stream
 
 
 class FaultInjector:
     """Thread-safe, counting fault injector driven by :class:`ChaosConfig`.
 
-    One injector instance is shared by every shard of one service; the
-    evaluation counter it keeps is global so "every 50th ticket" means
-    the 50th ticket *service-wide*, not per shard.  ``sleep`` is
-    injectable for tests that want slow-evaluate without wall time.
+    One injector instance serves one service; its evaluation counter
+    means "every 50th ticket" is the service's 50th evaluation.
+    ``sleep`` is injectable for tests that want slow-evaluate without
+    wall time.
     """
 
     def __init__(
@@ -101,7 +101,7 @@ class FaultInjector:
     def at(self, ordinal: int, action: Callable[[object], None]) -> None:
         """Run ``action(ticket)`` just before the ``ordinal``-th evaluation.
 
-        Ordinals are 1-based and count evaluations service-wide.  Used
+        Ordinals are 1-based and count the service's evaluations.  Used
         by chaos tests for scripted mid-flight events such as an epoch
         swap while earlier tickets are still queued.
         """
@@ -117,7 +117,7 @@ class FaultInjector:
 
         May sleep (slow-evaluate), raise :class:`InjectedFault`
         (isolated to this ticket), or raise :class:`WorkerKilled`
-        (``kill_in_flight``: the whole worker dies with the ticket).
+        (``kill_in_flight``: the decider dies with the ticket).
         """
         config = self.config
         with self._lock:
@@ -127,9 +127,7 @@ class FaultInjector:
             if actions:
                 self.actions_fired += len(actions)
             kill = (
-                config.kill_shard >= 0
-                and config.kill_in_flight
-                and getattr(ticket, "shard", -1) == config.kill_shard
+                config.kill_in_flight
                 and self.kills_fired < config.kill_times
             )
             if kill:
@@ -146,22 +144,22 @@ class FaultInjector:
             action(ticket)
         if kill:
             raise WorkerKilled(
-                f"chaos: worker killed in flight at evaluation {n}"
+                f"chaos: decider killed in flight at evaluation {n}"
             )
         if slow:
             self._sleep(config.slow_s)
         if raise_fault:
             raise InjectedFault(f"chaos: injected fault at evaluation {n}")
 
-    def on_worker_loop(self, shard: int, tickets_processed: int) -> None:
-        """Called before each ticket a shard's worker takes up.
+    def on_worker_loop(self, tickets_processed: int) -> None:
+        """Called before each ticket the decider takes up.
 
-        Raises :class:`WorkerKilled` when this shard is scheduled to
+        Raises :class:`WorkerKilled` when the decider is scheduled to
         die at the loop top (no ticket in hand, queue left intact for
-        the restarted worker to drain).
+        the restarted decider to drain).
         """
         config = self.config
-        if config.kill_shard != shard or config.kill_in_flight:
+        if config.kill_in_flight or not config.kill_times:
             return
         with self._lock:
             if (
@@ -170,7 +168,7 @@ class FaultInjector:
             ):
                 self.kills_fired += 1
                 raise WorkerKilled(
-                    f"chaos: shard {shard} worker killed after "
+                    f"chaos: decider killed after "
                     f"{tickets_processed} tickets"
                 )
 

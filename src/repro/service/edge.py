@@ -15,7 +15,9 @@ three verbs a front end owns — **parse**, **route**, **shed**:
   (DESIGN.md §12) was built for;
 * shed: typed :class:`Overloaded`/:class:`CircuitOpen` decisions
   become 503-style ``retry`` frames carrying ``retry_after`` hints,
-  :class:`Errored` becomes a 500-style ``error`` frame.
+  :class:`Errored` becomes a 500-style ``error`` frame, and a batch
+  the service refuses because it is closed becomes 503-style ``error``
+  frames.
 
 The edge never verifies a signature, never reads an ACL, never touches
 an epoch: all authorization semantics stay behind
@@ -47,7 +49,7 @@ import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry
-from .health import health_report, liveness, readiness, shard_health
+from .health import health_report
 from .service import AuthorizationService, ServiceError
 from .wire import (
     DEFAULT_MAX_FRAME,
@@ -230,22 +232,20 @@ class EdgeServer:
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
-    async def drain(self, timeout: Optional[float] = None) -> bool:
+    async def drain(self) -> None:
         """Stop accepting; wait for the pending batches to flush.
 
         Existing connections are not reset — a drained edge answers
         everything it already admitted and refuses new authorize frames
         as ``bad-request``, it just takes no new sockets.  The service
         decides each batch inside a flush that is already scheduled, so
-        the wait is one loop turn and always completes; ``timeout`` is
-        accepted for callers that bound it.
+        the wait is one loop turn.
         """
         self._accepting = False
         if self._server is not None:
             self._server.close()
         while any(conn.pending for conn in self._connections):
             await asyncio.sleep(0)
-        return True
 
     async def stop(self) -> None:
         """Stop the acceptor and close every connection (drain first)."""
@@ -320,14 +320,32 @@ class EdgeServer:
         """Admit one connection's tick of authorize frames as one batch.
 
         The threaded service decides the batch inside ``submit_batch``,
-        so every returned ticket is resolved.
+        so every returned ticket is resolved.  A closed service refuses
+        the batch with :class:`ServiceError`; each frame of it is then
+        answered with a 503-style ``error`` frame, and the connection
+        keeps serving probes.
         """
         pending, conn.pending = conn.pending, []
         self._batches.inc()
         self._batched_requests.inc(len(pending))
-        tickets = self.service.submit_batch(
-            [(request, now) for request, now, _, _ in pending]
-        )
+        try:
+            tickets = self.service.submit_batch(
+                [(request, now) for request, now, _, _ in pending]
+            )
+        except ServiceError as exc:
+            self._error_responses.inc(len(pending))
+            for _, _, req_id, slot in pending:
+                conn.replies[slot] = encode_frame(
+                    {
+                        "kind": "error",
+                        "id": req_id,
+                        "status": 503,
+                        "error_type": type(exc).__name__,
+                        "reason": str(exc),
+                    },
+                    self.max_frame,
+                )
+            return
         for ticket, (_, _, req_id, slot) in zip(tickets, pending):
             conn.replies[slot] = encode_frame(
                 self._decision_frame(req_id, ticket.result(0)), self.max_frame
@@ -367,50 +385,23 @@ class EdgeServer:
         return {"kind": "decision", "id": req_id, "status": 200, "decision": doc}
 
     def _health_frame(self, which: str, req_id: int) -> Dict[str, Any]:
-        """/healthz (liveness) and /readyz (readiness) payloads.
+        """/healthz (liveness), /readyz (readiness) and health payloads.
 
-        A non-ready readiness probe carries the per-shard detail an
-        operator needs to see *which* shards degraded and why.
+        Each carries the one flat :func:`health_report`; the probe's
+        status is 503 when its verdict (``live`` or ``ready``) is false.
         """
-        if which == "healthz":
-            live = liveness(self.service)
-            return {
-                "kind": "health",
-                "id": req_id,
-                "probe": "healthz",
-                "status": 200 if live["live"] else 503,
-                "report": live,
-            }
-        if which == "readyz":
-            ready = readiness(self.service)
-            doc: Dict[str, Any] = {
-                "kind": "health",
-                "id": req_id,
-                "probe": "readyz",
-                "status": 200 if ready["ready"] else 503,
-                "report": ready,
-            }
-            if not ready["ready"]:
-                doc["shards"] = [
-                    dict(
-                        shard=s.shard,
-                        ready=s.ready,
-                        breaker=s.breaker,
-                        worker_alive=s.worker_alive,
-                        queue_depth=s.queue_depth,
-                        queue_limit=s.queue_limit,
-                        crashes=s.crashes,
-                        restarts=s.restarts,
-                    )
-                    for s in shard_health(self.service)
-                ]
-            return doc
+        report = health_report(self.service)
+        status = 200
+        if which == "healthz" and not report["live"]:
+            status = 503
+        elif which == "readyz" and not report["ready"]:
+            status = 503
         return {
             "kind": "health",
             "id": req_id,
-            "probe": "health",
-            "status": 200,
-            "report": health_report(self.service),
+            "probe": which,
+            "status": status,
+            "report": report,
         }
 
 
@@ -440,19 +431,22 @@ class EdgeHandle:
     def stats(self) -> Dict[str, int]:
         return self.edge.stats()
 
-    def shutdown(self, timeout: float = 30.0) -> bool:
-        """Graceful drain + loop stop; returns what the drain returned."""
+    def shutdown(self, timeout: float = 30.0) -> None:
+        """Graceful drain + loop stop.
+
+        ``timeout`` bounds each wait for the loop thread (the drain,
+        then the stop).
+        """
         if not self._thread.is_alive():
-            return True
-        drained = asyncio.run_coroutine_threadsafe(
-            self.edge.drain(timeout), self._loop
-        ).result(timeout + 5.0)
+            return
+        asyncio.run_coroutine_threadsafe(
+            self.edge.drain(), self._loop
+        ).result(timeout)
         asyncio.run_coroutine_threadsafe(
             self.edge.stop(), self._loop
-        ).result(5.0)
+        ).result(timeout)
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=5.0)
-        return drained
 
     def __enter__(self) -> "EdgeHandle":
         return self

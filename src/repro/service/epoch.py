@@ -8,8 +8,8 @@ lock, the service publishes policy state as a sequence of **immutable
 epochs**:
 
 * Epoch ``k`` pins one forked protocol — the paper's single verifier
-  with one belief set — plus an ACL table.  Every shard evaluates
-  against that one protocol; shards only partition admission.
+  with one belief set — plus an ACL table.  Every ticket is decided
+  against that one protocol.
   Requests are stamped with the current epoch at *admission* and always
   evaluate against that epoch's state, however late they run.
 * ``publish_revocation`` forks the protocol once (copy-on-write via
@@ -64,7 +64,7 @@ class PolicyEntry:
 class Epoch:
     """An immutable snapshot of the service's policy state.
 
-    ``protocol`` is the one protocol every shard decides against.
+    ``protocol`` is the one protocol every ticket decides against.
     Evaluation *does* mutate it (certificate admissions warm its store
     and cache), but only under the service's protocol lock and only
     with request-derived facts; the policy-visible state (trust

@@ -4,7 +4,7 @@
 a service the caller has already built, registers ``Obj0..Obj{n-1}``
 with ``G_read``/``G_write`` ACLs, and issues a 1-of-3 read certificate
 and a 2-of-3 write certificate.  The caller owns the service (mode,
-shards, WAL, chaos, tracing), so no second config object mirrors its
+queue depth, WAL, chaos, tracing), so no second config object mirrors its
 keywords.
 
 :meth:`CoalitionFixture.stream` is the deterministic request stream

@@ -16,7 +16,7 @@ and again at completion:
   barrier (an explicit revocation epoch or a re-key's mass revocation),
   no request admitted after the barrier is granted under that serial.
 * ``replay-denied`` — a replayed request whose original was granted is
-  denied, across shards and across worker restarts.
+  denied, across objects and across decider restarts.
 * ``expectations`` — per-event expected outcomes (``granted`` /
   ``denied``) hold.
 * ``oracle-parity`` — where the scenario is oracle-feasible (no sheds,
@@ -24,15 +24,13 @@ and again at completion:
   :class:`~repro.coalition.server.CoalitionServer` fed the same stream.
 * ``typed-sheds`` — overload resolves as typed shed decisions, and at
   least ``min_sheds`` of them occur (flash crowds).
-* ``chaos-survival`` — the configured faults actually fired (worker
+* ``chaos-survival`` — the configured faults actually fired (decider
   kill, injected faults) and the service kept granting afterwards.
 
 Runs are deterministic under a fixed seed: the same seed produces the
 same **event trace digest** (canonical bytes of every event executed)
 and — in manual mode — the same **decision stream digest**
-(canonical decision documents in submission order).  Grant/deny
-documents carry no shard identity, so oracle-feasible scenarios digest
-identically at 1 and 4 shards.
+(canonical decision documents in submission order).
 
 The **dynamics → service bridge** (:class:`DynamicsBridge`) is how
 ``Coalition.join/leave/refresh`` drives the epoch machinery:
@@ -405,7 +403,6 @@ class ScenarioReport:
     seed: int
     mode: str
     transport: str
-    num_shards: int
     steps: int = 0
     requests: int = 0
     submitted: int = 0
@@ -418,8 +415,8 @@ class ScenarioReport:
     revocations: int = 0
     epochs_published: int = 0
     faults_injected: int = 0
-    workers_killed: int = 0
-    worker_restarts: int = 0
+    kills: int = 0
+    restarts: int = 0
     actions_fired: int = 0
     replays_sent: int = 0
     replays_denied: int = 0
@@ -497,7 +494,6 @@ class ScenarioRunner:
     def __init__(
         self,
         mode: str = "threaded",
-        num_shards: int = 2,
         transport: str = "inproc",
         seed: int = 0,
         key_bits: int = 256,
@@ -507,7 +503,6 @@ class ScenarioRunner:
         if transport == "edge" and mode != "threaded":
             raise ValueError("edge transport requires a worker mode: threaded")
         self.mode = mode
-        self.num_shards = num_shards
         self.transport = transport
         self.seed = seed
         self.key_bits = key_bits
@@ -536,7 +531,6 @@ class ScenarioRunner:
         chaos = FaultInjector(spec.chaos) if spec.chaos is not None else None
         service = AuthorizationService(
             name="ScenarioP",
-            num_shards=self.num_shards,
             queue_depth=spec.queue_depth,
             freshness_window=spec.freshness_window,
             mode=self.mode,
@@ -615,7 +609,6 @@ class ScenarioRunner:
             seed=self.seed,
             mode=self.mode,
             transport=self.transport,
-            num_shards=self.num_shards,
         )
         handle = client = None
         if self.transport == "edge":
@@ -975,10 +968,10 @@ class ScenarioRunner:
                 chaos = fx["chaos"]
                 stats = chaos.stats() if chaos is not None else {}
                 cfg = spec.chaos
-                if cfg is not None and cfg.kill_shard >= 0 and not stats.get(
+                if cfg is not None and cfg.kill_times and not stats.get(
                     "kills_fired"
                 ):
-                    violation(name, "configured worker kill never fired")
+                    violation(name, "configured kill never fired")
                 if cfg is not None and cfg.raise_every and not stats.get(
                     "faults_raised"
                 ):
@@ -1016,8 +1009,8 @@ class ScenarioRunner:
         report.revocations = state["revocations"]
         report.epochs_published = svc["epochs"]["epochs_published"]
         report.faults_injected = chaos_stats.get("faults_raised", 0)
-        report.workers_killed = chaos_stats.get("kills_fired", 0)
-        report.worker_restarts = svc["health"]["worker_restarts"]
+        report.kills = chaos_stats.get("kills_fired", 0)
+        report.restarts = svc["health"]["restarts"]
         report.actions_fired = chaos_stats.get("actions_fired", 0)
         report.replays_sent = len(replays)
         report.replays_denied = sum(
@@ -1049,7 +1042,6 @@ def run_scenario(
     name: str,
     seed: int = 0,
     mode: str = "threaded",
-    num_shards: int = 2,
     transport: str = "inproc",
     key_bits: int = 256,
 ) -> ScenarioReport:
@@ -1060,7 +1052,6 @@ def run_scenario(
         raise KeyError(f"unknown scenario {name!r} (known: {known})")
     runner = ScenarioRunner(
         mode=mode,
-        num_shards=num_shards,
         transport=transport,
         seed=seed,
         key_bits=key_bits,
@@ -1358,7 +1349,7 @@ _scenario(
 
 
 def _build_chaos_storm(rng: random.Random) -> List[object]:
-    """Membership churn + worker kill + injected faults + replays."""
+    """Membership churn + decider kill + injected faults + replays."""
     tids = _tid_counter()
     objects = [f"Obj{i}" for i in range(8)]
     events: List[object] = []
@@ -1374,7 +1365,7 @@ def _build_chaos_storm(rng: random.Random) -> List[object]:
                     tid=next(tids), expect=None)
         )
     events.append(Checkpoint())
-    # Replays across the worker restart: burned nonces stay burned.
+    # Replays across the decider restart: burned nonces stay burned.
     for original in rng.sample(phase_a, 6):
         events.append(Replay(of_tid=original.tid))
     events += _mixed_traffic(rng, tids, 8, objects, expect=None)
@@ -1398,7 +1389,7 @@ _scenario(
     ScenarioSpec(
         name="chaos-storm",
         description=(
-            "Coalition churn with a mid-scenario worker kill, an injected "
+            "Coalition churn with a mid-scenario decider kill, an injected "
             "fault every 9th evaluation and a scripted epoch swap: full "
             "accounting, replays denied across the restart, re-key barrier "
             "holds"
@@ -1413,7 +1404,6 @@ _scenario(
         oracle_feasible=False,
         chaos=ChaosConfig(
             raise_every=9,
-            kill_shard=0,
             kill_in_flight=True,
             kill_times=1,
             seed=7,

@@ -1,41 +1,38 @@
-"""The sharded, epoched, backpressured authorization service.
+"""The epoched, backpressured authorization service.
 
 :class:`AuthorizationService` is the serving layer in front of
 :class:`~repro.coalition.protocol.AuthorizationProtocol`:
 
-* **Sharding** — requests route by resource key to one of N shards,
-  which partition admission (queues, breakers, dedup tables); one
-  object's traffic stays ordered.
 * **Epochs** — policy state (trust anchors, ACLs, revocations) is
-  pinned at admission; each epoch holds one protocol that every shard
+  pinned at admission; each epoch holds the one protocol every ticket
   decides against, so a revocation is forked and applied once; see
   :mod:`repro.service.epoch`.
-* **Backpressure** — bounded per-shard queues; a full queue resolves
-  the ticket with a typed :class:`~repro.service.admission.Overloaded`
-  decision instead of queueing unboundedly or dropping silently.
-* **Dedup** — identical concurrent submissions coalesce onto one
-  evaluation (optional, on by default).
-* **Replay parity** — one nonce ledger spans all shards and epochs, and
-  every ticket is decided in global sequence order, so grant/deny
-  decisions are byte-identical to a single sequential protocol
-  evaluating the same admission stream.
+* **Backpressure** — one bounded admission queue; a full queue
+  resolves the ticket with a typed
+  :class:`~repro.service.admission.Overloaded` decision instead of
+  queueing unboundedly or dropping silently.
+* **Replay parity** — one nonce ledger spans every epoch, and every
+  ticket is decided in sequence order, so grant/deny decisions are
+  byte-identical to a single sequential protocol evaluating the same
+  admission stream.  A duplicate submission is decided like any other
+  request: the ledger denies the second copy as a replay.
 * **Fault isolation** — evaluation exceptions become typed
-  :class:`~repro.service.admission.Errored` decisions; every shard has
+  :class:`~repro.service.admission.Errored` decisions; the decider has
   a :class:`~repro.service.admission.CircuitBreaker` restart budget,
-  and a shard that exhausts it fails over: queued and future requests
-  shed with typed :class:`~repro.service.admission.CircuitOpen`
-  decisions.  No admitted ticket is ever stranded (DESIGN.md §11).
+  and once it is spent the queue fails over: queued and future
+  requests shed with typed
+  :class:`~repro.service.admission.CircuitOpen` decisions.  No
+  admitted ticket is ever stranded (DESIGN.md §11).
 
 Execution modes: ``threaded`` (thread-safe; decided on the submitting
 thread) and ``manual`` (tickets queue until :meth:`pump` or
 :meth:`authorize`, deterministic — what the epoch tests, scenarios and
 replay drive).  Both run one engine: the caller takes the service's
-decision lock and decides every queued ticket in global sequence order
-(:meth:`_drain_queues`); threaded mode runs it inside
+decision lock and decides every queued ticket in sequence order
+(:meth:`_drain_queue`); threaded mode runs it inside
 :meth:`submit`/:meth:`submit_batch`, so they return resolved tickets,
 and manual mode runs it when the caller pumps.  A chaos
-``WorkerKilled`` is a logical restart that burns the shard's restart
-budget.
+``WorkerKilled`` is a logical restart that burns the restart budget.
 
 Admission is **batched** (DESIGN.md §12): callers can admit N
 requests in one pass under the admission lock
@@ -47,7 +44,6 @@ from __future__ import annotations
 
 import threading
 import time
-from operator import attrgetter
 from typing import Dict, Iterable, List, Optional
 
 from ..coalition.acl import ACL, ACLEntry
@@ -63,17 +59,15 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer, TraceSpan
 from ..pki.certificates import RevocationCertificate
 from .admission import (
+    AdmissionQueue,
     CircuitBreaker,
     CircuitOpen,
     Errored,
     Overloaded,
-    ShardQueue,
     Ticket,
-    request_fingerprint,
 )
 from .chaos import FaultInjector, WorkerKilled
 from .epoch import Epoch, EpochManager, PolicyEntry
-from .sharding import shard_for
 from ..storage.wal import EpochRecord
 
 __all__ = ["AuthorizationService", "ServiceError"]
@@ -107,16 +101,21 @@ class _TrustFanout:
 
 
 class AuthorizationService:
-    """Sharded authorization with epochs, load shedding and breakers."""
+    """Authorization with epochs, load shedding and a circuit breaker.
+
+    ``num_shards`` is accepted for perfbench's fixture, which still
+    passes its ``--shards``; it must be >= 1 and is otherwise ignored
+    (there is one admission queue).  It goes with perfbench's
+    ``--shards`` in the next benchmark change.
+    """
 
     def __init__(
         self,
         name: str = "ServiceP",
-        num_shards: int = 4,
+        num_shards: int = 1,
         queue_depth: int = 256,
         freshness_window: int = DEFAULT_FRESHNESS_WINDOW,
         trust_epoch: int = 0,
-        dedup: bool = True,
         mode: str = "threaded",
         tracing: bool = False,
         trace_export: Optional[str] = None,
@@ -130,19 +129,17 @@ class AuthorizationService:
         wal_manifest: Optional[Dict[str, object]] = None,
     ):
         if num_shards < 1:
-            raise ValueError("need at least one shard")
+            raise ValueError("num_shards must be >= 1")
         if mode not in _MODES:
             raise ServiceError(f"unknown mode {mode!r}; pick one of {_MODES}")
         self.name = name
-        self.num_shards = num_shards
         self.queue_depth = queue_depth
-        self.dedup = dedup
         self.mode = mode
-        # One replay ledger across every shard and epoch: replays must
-        # deny globally, unlike belief state which shards and snapshots.
+        # One replay ledger across every epoch: replays must deny
+        # globally, unlike belief state which epochs snapshot.
         self.nonce_ledger = NonceLedger(freshness_window)
-        # One belief state for every shard (the paper's one verifier):
-        # the lock guards evaluation and forks of it.
+        # One belief state (the paper's one verifier): the lock guards
+        # evaluation and forks of it.
         self._protocol_lock = threading.Lock()
         self.epochs = EpochManager(
             AuthorizationProtocol(
@@ -154,27 +151,20 @@ class AuthorizationService:
             self._protocol_lock,
         )
         self.protocol = _TrustFanout(self)
-        self._queues = [ShardQueue(queue_depth) for _ in range(num_shards)]
-        # One crash budget per shard; a crash is a logical restart.
-        self._breakers = [
-            CircuitBreaker(max_restarts=max_restarts)
-            for _ in range(num_shards)
-        ]
+        self._queue = AdmissionQueue(queue_depth)
+        # The decider's crash budget; a crash is a logical restart.
+        self._breaker = CircuitBreaker(max_restarts=max_restarts)
         self.chaos = chaos
         # The caller deciding queued tickets holds this lock (one
-        # decider at a time, in sequence order).  Per-shard decision
-        # counts feed the chaos loop-top hook and restart from zero
-        # with each logical restart.
+        # decider at a time, in sequence order).  The decision count
+        # feeds the chaos loop-top hook and restarts from zero with
+        # each logical restart.
         self._decision_lock = threading.Lock()
-        self._decided = [0] * num_shards
-        # Admission bookkeeping under one lock: global sequence, queue
-        # pushes, per-shard in-flight dedup tables and completion
-        # counters.
+        self._decided = 0
+        # Admission bookkeeping under one lock: sequence numbers, queue
+        # pushes and completion counters.
         self._admission_lock = threading.Lock()
         self._next_seq = 0
-        self._inflight: List[Dict[tuple, Ticket]] = [
-            {} for _ in range(num_shards)
-        ]
         self._outstanding = 0
         self._drained = threading.Condition(self._admission_lock)
         # A request or publish seals the trust configuration fast path;
@@ -183,7 +173,7 @@ class AuthorizationService:
         self._closed = False
         # Counters and latency histograms (admission side; evaluation
         # detail lives on tickets).  The unified registry backs the
-        # stats() view and the cross-shard metrics snapshot.
+        # stats() view and the merged metrics snapshot.
         self.metrics = MetricsRegistry("service")
         self.submitted = self.metrics.counter("submitted")
         self.evaluated = self.metrics.counter("evaluated")
@@ -191,9 +181,8 @@ class AuthorizationService:
         self.denied = self.metrics.counter("denied")
         self.overloaded = self.metrics.counter("overloaded")
         self.errored = self.metrics.counter("errored")
-        self.coalesced = self.metrics.counter("coalesced")
-        self.worker_crashes = self.metrics.counter("worker_crashes")
-        self.worker_restarts = self.metrics.counter("worker_restarts")
+        self.crashes = self.metrics.counter("crashes")
+        self.restarts = self.metrics.counter("restarts")
         self.circuit_open_sheds = self.metrics.counter("circuit_open_sheds")
         self._queue_wait_hist = self.metrics.histogram("queue_wait_s")
         self._latency_hist = self.metrics.histogram("request_latency_s")
@@ -309,13 +298,13 @@ class AuthorizationService:
     # --------------------------------------------------------- admission
 
     def submit(self, request: JointAccessRequest, now: int) -> Ticket:
-        """Admit a request: pin the epoch, route, queue (or shed).
+        """Admit a request: pin the epoch, queue (or shed).
 
         Returns a ticket that resolves to the decision — immediately
-        with :class:`Overloaded` when the target shard's queue is full,
-        or :class:`CircuitOpen` when the shard's circuit breaker has
-        tripped.  In threaded mode the ticket is already resolved: the
-        calling thread decided it (and anything queued before it).
+        with :class:`Overloaded` when the admission queue is full, or
+        :class:`CircuitOpen` when the circuit breaker has tripped.  In
+        threaded mode the ticket is already resolved: the calling
+        thread decided it (and anything queued before it).
         """
         return self._admit_and_decide([(request, now)])[0]
 
@@ -325,12 +314,11 @@ class AuthorizationService:
         """Admit ``(request, now)`` pairs under one admission pass.
 
         Semantically identical to calling :meth:`submit` per pair — the
-        same tickets resolve to the same decisions, in the same global
+        same tickets resolve to the same decisions, in the same
         sequence order — but the whole batch is admitted under one
-        acquisition of the admission lock, with one ``try_push_batch``
-        per target shard, so the per-request lock traffic amortizes
-        across the batch.  In threaded mode every returned ticket is
-        already resolved.
+        acquisition of the admission lock, with one ``try_push_batch``,
+        so the per-request lock traffic amortizes across the batch.  In
+        threaded mode every returned ticket is already resolved.
         """
         pairs = list(batch)
         if not pairs:
@@ -340,106 +328,75 @@ class AuthorizationService:
     def _admit_and_decide(self, pairs: List[tuple]) -> List[Ticket]:
         tickets = self._admit(pairs)
         if self.mode == "threaded":
-            self._drain_queues()
-            for ticket in tickets:
-                if not ticket.done():
-                    # Only a shed that another submitter is resolving
-                    # right now (it coalesced onto it) can be pending.
-                    ticket.wait()
+            self._drain_queue()
         return tickets
 
     def _admit(self, pairs: List[tuple]) -> List[Ticket]:
         """The admission path: one pass under the admission lock.
 
-        Per request: the breaker check, the dedup probe and the
-        sequence number; then one ``try_push_batch`` per target shard.  A ticket that is
-        not queued (its shard's breaker is open, or the queue is full)
-        is still admitted, and resolves as a typed shed through
-        :meth:`_shed` once the lock is released.
+        Per request a sequence number and a ticket; then the breaker
+        check and one ``try_push_batch``.  A ticket that is not queued
+        (the breaker is open, or the queue is full) is still admitted,
+        and resolves as a typed shed through :meth:`_shed` once the
+        lock is released.
 
-        Deciders collect queued tickets (:meth:`_take_queued`) and a
-        breaker trip drains its queue (:meth:`_trip_breaker`) under the
-        same lock, so a push is never split from its breaker check and
-        one shard's queue holds its tickets in sequence (and epoch)
-        order.
+        Deciders take queued tickets and a breaker trip drains the
+        queue (:meth:`_trip_breaker`) under the same lock, so a push is
+        never split from its breaker check and the queue holds its
+        tickets in sequence (and epoch) order.
         """
         if self._closed:
             raise ServiceError("service is closed")
         self._sealed = True
-        results: List[Ticket] = []
-        sheds: List[tuple] = []
-        queued: Dict[int, List[tuple]] = {}
+        tickets: List[Ticket] = []
+        spans: List[Optional[TraceSpan]] = []
         with self._admission_lock:
             self.submitted.inc(len(pairs))
+            self._outstanding += len(pairs)
             epoch = self.epochs.current
             for request, now in pairs:
-                shard = shard_for(request, self.num_shards)
-                circuit_open = self._breakers[shard].is_open
-                if self.dedup and not circuit_open:
-                    fingerprint = request_fingerprint(request, now)
-                    existing = self._inflight[shard].get(fingerprint)
-                    if existing is not None and not existing.done():
-                        existing.coalesced += 1
-                        self.coalesced.inc()
-                        if existing.trace is not None:
-                            existing.trace.attrs["coalesced"] = (
-                                existing.coalesced
-                            )
-                        results.append(existing)
-                        continue
                 ticket = Ticket(
-                    request=request, now=now, epoch=epoch, shard=shard,
-                    seq=self._next_seq,
+                    request=request, now=now, epoch=epoch, seq=self._next_seq
                 )
                 self._next_seq += 1
-                self._outstanding += 1
-                results.append(ticket)
+                tickets.append(ticket)
                 root = ticket.trace = self._begin_trace(ticket)
-                span: Optional[TraceSpan] = None
-                if root is not None:
-                    span = root.child(
-                        "admission", shard=shard, epoch_id=epoch.epoch_id
-                    )
-                if circuit_open:
-                    # The shard is FAILED: shed now instead of queueing
-                    # work nobody will ever drain.
-                    if span is not None:
-                        span.end(outcome="shed")
-                    decision = self._circuit_open_decision(
-                        request, now, shard, len(self._queues[shard])
-                    )
-                    sheds.append((ticket, decision))
-                    continue
-                if self.dedup:
-                    self._inflight[shard][fingerprint] = ticket
-                queued.setdefault(shard, []).append((ticket, span))
-            for shard, group in queued.items():
-                accepted = self._queues[shard].try_push_batch(
-                    [ticket for ticket, _ in group]
+                spans.append(
+                    None if root is None
+                    else root.child("admission", epoch_id=epoch.epoch_id)
                 )
-                for ticket, span in group[:accepted]:
-                    if span is not None:
-                        span.end(outcome="queued")
-                        ticket.queue_span = ticket.trace.child("queue_wait")
-                for ticket, span in group[accepted:]:
-                    if span is not None:
-                        span.end(outcome="shed")
+            circuit_open = self._breaker.is_open
+            # An open breaker sheds now instead of queueing work nobody
+            # will ever drain.
+            accepted = 0 if circuit_open else self._queue.try_push_batch(tickets)
+            for ticket, span in zip(tickets[:accepted], spans):
+                if span is not None:
+                    span.end(outcome="queued")
+                    ticket.queue_span = ticket.trace.child("queue_wait")
+            sheds = []
+            for ticket, span in zip(tickets[accepted:], spans[accepted:]):
+                if span is not None:
+                    span.end(outcome="shed")
+                if circuit_open:
+                    decision: Overloaded = self._circuit_open_decision(
+                        ticket, len(self._queue)
+                    )
+                else:
                     decision = Overloaded(
                         granted=False,
                         reason=(
-                            f"overloaded: shard {shard} admission queue "
-                            f"at depth {self.queue_depth}"
+                            f"overloaded: admission queue at depth "
+                            f"{self.queue_depth}"
                         ),
                         operation=ticket.request.operation,
                         object_name=ticket.request.object_name,
                         checked_at=ticket.now,
-                        shard=shard,
                         queue_depth=self.queue_depth,
                     )
-                    sheds.append((ticket, decision))
+                sheds.append((ticket, decision))
         for ticket, decision in sheds:
             self._shed(ticket, decision)
-        return results
+        return tickets
 
     def _shed(self, ticket: Ticket, decision: Overloaded) -> None:
         """Resolve an admitted ticket that no decider will take.
@@ -462,21 +419,19 @@ class AuthorizationService:
         )
 
     def _circuit_open_decision(
-        self, request: JointAccessRequest, now: int, shard: int,
-        queue_depth: int,
+        self, ticket: Ticket, queue_depth: int
     ) -> CircuitOpen:
-        breaker = self._breakers[shard]
+        breaker = self._breaker
         return CircuitOpen(
             granted=False,
             reason=(
-                f"circuit open: shard {shard} exceeded its "
-                f"restart budget ({breaker.restarts} restarts, "
+                f"circuit open: restart budget exhausted "
+                f"({breaker.restarts} restarts, "
                 f"last error {breaker.last_error})"
             ),
-            operation=request.operation,
-            object_name=request.object_name,
-            checked_at=now,
-            shard=shard,
+            operation=ticket.request.operation,
+            object_name=ticket.request.object_name,
+            checked_at=ticket.now,
             queue_depth=queue_depth,
             restarts=breaker.restarts,
         )
@@ -498,7 +453,7 @@ class AuthorizationService:
         Any ``Exception`` it raises becomes a typed :class:`Errored`
         decision in the caller (per-ticket fault isolation).
         ``BaseException`` (chaos ``WorkerKilled``) propagates: that is
-        the crash path, which burns the shard's restart budget.
+        the crash path, which burns the restart budget.
         """
         root: Optional[TraceSpan] = ticket.trace
         self._queue_wait_hist.observe(
@@ -508,15 +463,15 @@ class AuthorizationService:
             ticket.queue_span.end()
         if self.chaos is not None:
             # Chaos hook: may sleep, raise InjectedFault (isolated to
-            # this ticket) or raise WorkerKilled (kills the worker).
+            # this ticket) or raise WorkerKilled (crashes the decider).
             self.chaos.before_evaluate(ticket)
         epoch: Epoch = ticket.epoch
         request = ticket.request
         entry = epoch.acls.get(request.object_name)
         if root is not None:
-            root.child(
-                "epoch_pin", epoch_id=epoch.epoch_id, shard=ticket.shard
-            ).end(object_known=entry is not None)
+            root.child("epoch_pin", epoch_id=epoch.epoch_id).end(
+                object_known=entry is not None
+            )
         derivation_span = None
         if root is not None:
             derivation_span = root.child("derivation")
@@ -563,7 +518,6 @@ class AuthorizationService:
             operation=ticket.request.operation,
             object_name=ticket.request.object_name,
             checked_at=ticket.now,
-            shard=ticket.shard,
             error_type=type(exc).__name__,
         )
 
@@ -594,8 +548,8 @@ class AuthorizationService:
     def _account_batch(self, resolved: List[tuple]) -> None:
         """One admission-lock sweep accounting a batch of resolutions.
 
-        Counters, dedup cleanup and the outstanding count
-        for every ``(ticket, decision)`` pair run under a single lock
+        Counters and the outstanding count for every
+        ``(ticket, decision)`` pair run under a single lock
         acquisition — the batched half of completion.
         """
         if not resolved:
@@ -614,12 +568,6 @@ class AuthorizationService:
                         self.granted.inc()
                     else:
                         self.denied.inc()
-                if self.dedup:
-                    fingerprint = request_fingerprint(
-                        ticket.request, ticket.now
-                    )
-                    if self._inflight[ticket.shard].get(fingerprint) is ticket:
-                        del self._inflight[ticket.shard][fingerprint]
                 self._outstanding -= 1
             if self._outstanding == 0:
                 self._drained.notify_all()
@@ -629,8 +577,8 @@ class AuthorizationService:
 
         Shared by fault isolation, load shedding, circuit-breaker
         failover and close()-time stranded resolution.  The ``finally``
-        guarantees the accounting and dedup cleanup run even if
-        audit or trace export raises — outstanding can never leak.
+        guarantees the accounting runs even if audit or trace export
+        raises — outstanding can never leak.
         """
         try:
             self._resolve_ticket(ticket, decision)
@@ -641,25 +589,23 @@ class AuthorizationService:
         """Decide ``batch`` in order; account it in one sweep.
 
         Per ticket: the chaos loop-top hook (``kill_after`` counts the
-        shard's decisions since its last restart), the decision, and an
+        decisions since the last restart), the decision, and an
         immediate :meth:`_resolve_ticket`.  The
         admission-lock accounting for the whole batch is one
         :meth:`_account_batch` flush in the ``finally``.
 
         A ``BaseException`` returns the unresolved rest of the batch,
-        in order, to the heads of its shard queues.  A chaos
-        ``WorkerKilled`` is then a logical restart: the ticket in hand
-        (none at the loop top) resolves as errored and the shard's
-        budget is charged; anything else propagates.
+        in order, to the head of the queue.  A chaos ``WorkerKilled``
+        is then a logical restart: the ticket in hand (none at the
+        loop top) resolves as errored and the restart budget is
+        charged; anything else propagates.
         """
         acct: List[tuple] = []
         index, in_hand = 0, None
         try:
             for index, ticket in enumerate(batch):
                 if self.chaos is not None:
-                    self.chaos.on_worker_loop(
-                        ticket.shard, self._decided[ticket.shard]
-                    )
+                    self.chaos.on_worker_loop(self._decided)
                 in_hand = ticket
                 try:
                     decision: AuthorizationDecision = self._decide(ticket)
@@ -672,7 +618,7 @@ class AuthorizationService:
                     # Even if audit/trace export raised, the event is
                     # set — the ticket must be accounted exactly once.
                     acct.append((ticket, decision))
-                self._decided[ticket.shard] += 1
+                self._decided += 1
         except BaseException as exc:
             rest = [
                 t for t in batch[index:]
@@ -681,46 +627,22 @@ class AuthorizationService:
             if not isinstance(exc, WorkerKilled):
                 if in_hand is not None:
                     rest.insert(0, in_hand)
-                self._requeue(rest)
+                self._queue.push_front_batch(rest)
                 raise
-            self._requeue(rest)
-            shard = batch[index].shard
-            self._decided[shard] = 0
-            self._handle_crash(shard, exc, in_hand)
+            self._queue.push_front_batch(rest)
+            self._decided = 0
+            self._handle_crash(exc, in_hand)
         finally:
             self._account_batch(acct)
 
-    def _requeue(self, tickets: List[Ticket]) -> None:
-        """Return undecided tickets to their queue heads, in order."""
-        by_shard: Dict[int, List[Ticket]] = {}
-        for ticket in tickets:
-            by_shard.setdefault(ticket.shard, []).append(ticket)
-        for shard, group in by_shard.items():
-            self._queues[shard].push_front_batch(group)
-
-    def _take_queued(self, limit: Optional[int]) -> List[Ticket]:
-        """Every queued ticket (at most ``limit``), in sequence order.
-
-        Runs under the admission lock, so no push interleaves with the
-        collection: the batch is every queued ticket up to some
-        sequence number.
-        """
-        batch: List[Ticket] = []
-        for queue in self._queues:
-            batch.extend(queue.drain_all())
-        batch.sort(key=attrgetter("seq"))
-        if limit is not None and len(batch) > limit:
-            self._requeue(batch[limit:])
-            del batch[limit:]
-        return batch
-
-    def _drain_queues(self, limit: Optional[int] = None) -> int:
-        """Decide queued tickets on this thread, in global sequence order.
+    def _drain_queue(self, limit: Optional[int] = None) -> int:
+        """Decide queued tickets on this thread, in sequence order.
 
         The engine of both modes.  One decider at a time
-        holds the decision lock; each round collects whatever is queued
-        and decides it as one batch, until the queues are empty (or
-        ``limit`` tickets were taken).  Deciding in sequence order
+        holds the decision lock; each round takes whatever is queued
+        (under the admission lock, so no push interleaves with the
+        take) and decides it as one batch, until the queue is empty
+        (or ``limit`` tickets were taken).  Deciding in sequence order
         gives replay checks the admission order, so a same-nonce
         predecessor is always decided first (or was a shed, which
         consumes no nonce): no ticket waits for another.
@@ -729,7 +651,7 @@ class AuthorizationService:
         with self._decision_lock:
             while limit is None or taken < limit:
                 with self._admission_lock:
-                    batch = self._take_queued(
+                    batch = self._queue.take(
                         None if limit is None else limit - taken
                     )
                 if not batch:
@@ -741,51 +663,43 @@ class AuthorizationService:
     # ------------------------------------------------------------ crashes
 
     def _handle_crash(
-        self,
-        shard: int,
-        exc: BaseException,
-        ticket: Optional[Ticket],
+        self, exc: BaseException, ticket: Optional[Ticket]
     ) -> None:
         """A chaos ``WorkerKilled``: a logical restart, or a trip.
 
         Resolves the in-hand ticket (if any) as errored and charges the
-        shard's restart budget.  Within the budget the restart is
-        logical (the decider keeps draining); once it is spent the
-        breaker trips and the shard's queue fails over.
+        restart budget.  Within the budget the restart is logical (the
+        decider keeps draining); once it is spent the breaker trips
+        and the queue fails over.
         """
         if ticket is not None and not ticket.done():
-            # The ticket dies with the worker, but its submitter must
+            # The ticket dies with the decider, but its submitter must
             # not: resolve it errored before anything else.
             self._complete(ticket, self._errored_decision(ticket, exc))
         with self._admission_lock:
-            self.worker_crashes.inc()
+            self.crashes.inc()
             if self._closed:
                 return
-        if self._breakers[shard].record_crash(type(exc).__name__):
-            self._trip_breaker(shard)
+        if self._breaker.record_crash(type(exc).__name__):
+            self._trip_breaker()
             return
         with self._admission_lock:
-            self.worker_restarts.inc()
+            self.restarts.inc()
 
-    def _trip_breaker(self, shard: int) -> None:
-        """Give up on a shard: fail its queued tickets over as shed.
+    def _trip_breaker(self) -> None:
+        """Give up: fail every queued ticket over as shed.
 
         The breaker is already open (``record_crash`` set it), and
         admission checks it and pushes in one hold of the admission
         lock, which this drain takes too.  So no ticket lands in the
-        dead shard's queue after the sweep: a racing admission either
-        pushed before the drain (its ticket is in ``stranded``) or saw
-        the open breaker and shed without pushing.
+        queue after the sweep: a racing admission either pushed before
+        the drain (its ticket is in ``stranded``) or saw the open
+        breaker and shed without pushing.
         """
         with self._admission_lock:
-            stranded = self._queues[shard].drain_all()
+            stranded = self._queue.take()
         for ticket in stranded:
-            self._shed(
-                ticket,
-                self._circuit_open_decision(
-                    ticket.request, ticket.now, shard, 0
-                ),
-            )
+            self._shed(ticket, self._circuit_open_decision(ticket, 0))
 
     # ------------------------------------------------------ manual pumping
 
@@ -793,7 +707,7 @@ class AuthorizationService:
         """Decide queued tickets synchronously (``manual`` mode's engine)."""
         if self.mode != "manual":
             raise ServiceError(f"pump() is for manual mode, not {self.mode!r}")
-        return self._drain_queues(max_tickets)
+        return self._drain_queue(max_tickets)
 
     # --------------------------------------------------------- lifecycle
 
@@ -806,7 +720,7 @@ class AuthorizationService:
         if self.mode == "manual":
             self.pump()
             return True
-        self._drain_queues()
+        self._drain_queue()
         deadline = (
             None if timeout is None else time.monotonic() + timeout
         )
@@ -826,7 +740,7 @@ class AuthorizationService:
             return
         self._closed = True
         try:
-            self._drain_queues()
+            self._drain_queue()
         finally:
             # Durability last: every decision resolved above has already
             # passed through the audit lock into the WAL.
@@ -842,18 +756,6 @@ class AuthorizationService:
 
     # ------------------------------------------------------------- stats
 
-    def queue_depths(self) -> List[int]:
-        return [len(queue) for queue in self._queues]
-
-    def workers_alive(self) -> int:
-        """Shards still deciding: open service, breaker closed."""
-        if self._closed:
-            return 0
-        return self.num_shards - self.breakers_open()
-
-    def breakers_open(self) -> int:
-        return sum(1 for breaker in self._breakers if breaker.is_open)
-
     def health(self) -> Dict[str, object]:
         """Liveness/readiness probe report (see :mod:`.health`)."""
         from .health import health_report
@@ -865,7 +767,6 @@ class AuthorizationService:
         epoch = self.epochs.current
         return {
             "service": {
-                "shards": self.num_shards,
                 "queue_depth": self.queue_depth,
                 "submitted": self.submitted.value,
                 "evaluated": self.evaluated.value,
@@ -873,7 +774,6 @@ class AuthorizationService:
                 "denied": self.denied.value,
                 "overloaded": self.overloaded.value,
                 "errored": self.errored.value,
-                "coalesced": self.coalesced.value,
                 "outstanding": self._outstanding,
                 "nonce_cache_size": len(self.nonce_ledger),
             },
@@ -889,10 +789,9 @@ class AuthorizationService:
                 "forks_taken": self.epochs.stats.forks_taken,
             },
             "health": {
-                "workers_alive": self.workers_alive(),
-                "worker_crashes": self.worker_crashes.value,
-                "worker_restarts": self.worker_restarts.value,
-                "breakers_open": self.breakers_open(),
+                "breaker": self._breaker.state,
+                "crashes": self.crashes.value,
+                "restarts": self.restarts.value,
                 "circuit_open_sheds": self.circuit_open_sheds.value,
             },
         }
@@ -920,8 +819,7 @@ class AuthorizationService:
             ),
             "forks_taken": self.epochs.stats.forks_taken,
             "traces_finished": self.tracer.spans_finished,
-            "workers_alive": self.workers_alive(),
-            "breakers_open": self.breakers_open(),
+            "breaker_open": int(self._breaker.is_open),
         }
         if self.chaos is not None:
             # A chaos run must be distinguishable from a clean run in

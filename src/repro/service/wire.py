@@ -409,15 +409,12 @@ def decision_to_dict(decision: AuthorizationDecision) -> Dict[str, Any]:
     }
     if isinstance(decision, CircuitOpen):
         doc["type"] = "circuit-open"
-        doc["shard"] = decision.shard
         doc["restarts"] = decision.restarts
     elif isinstance(decision, Overloaded):
         doc["type"] = "overloaded"
-        doc["shard"] = decision.shard
         doc["queue_depth"] = decision.queue_depth
     elif isinstance(decision, Errored):
         doc["type"] = "errored"
-        doc["shard"] = decision.shard
         doc["error_type"] = decision.error_type
     return doc
 

@@ -21,9 +21,9 @@ each run's chain is signed by its own signer and verified against that
 signer's public key.
 
 Scenarios run the service in **manual** mode and decide each request
-before submitting the next: evaluation happens in submission order
-even at 4 shards, so the audit append order is a function of the
-manifest, not the scheduler.
+before submitting the next: evaluation happens in submission order,
+so the audit append order is a function of the manifest, not the
+scheduler.
 """
 
 from __future__ import annotations
@@ -46,11 +46,12 @@ class ReplayManifest:
     """Everything needed to regenerate a recorded workload, exactly.
 
     Persisted in the WAL's META record, so a recovered log is
-    self-describing: ``replay_wal`` needs only the directory.
+    self-describing: ``replay_wal`` needs only the directory.  A META
+    record written with keys this manifest no longer has (an older
+    build's shard count) still loads: :meth:`from_dict` drops them.
     """
 
     total_requests: int = 100
-    num_shards: int = 1
     num_objects: int = 4
     read_fraction: float = 0.4
     deny_fraction: float = 0.2
@@ -94,7 +95,6 @@ def run_scenario(
     """
     service = AuthorizationService(
         name="ReplayP",
-        num_shards=manifest.num_shards,
         mode="manual",
         freshness_window=manifest.freshness_window,
         wal_dir=wal_dir,

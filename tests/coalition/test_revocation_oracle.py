@@ -96,7 +96,7 @@ class TestGeneratedPrograms:
     def test_revoked_deny_agrees_with_oracle(self, coalition_users, program):
         coalition, users = coalition_users
         service = AuthorizationService(
-            name="OracleP", num_shards=2, mode="manual", freshness_window=10**9
+            name="OracleP", mode="manual", freshness_window=10**9
         )
         coalition.attach_server(service)
         coalition.servers.remove(service)  # nothing else pushes to it
@@ -170,7 +170,7 @@ class TestGeneratedPrograms:
         """A request pinned before a publish is decided without it."""
         coalition, users = coalition_users
         service = AuthorizationService(
-            name="OraclePin", num_shards=1, mode="manual", freshness_window=10**9
+            name="OraclePin", mode="manual", freshness_window=10**9
         )
         coalition.attach_server(service)
         coalition.servers.remove(service)

@@ -67,7 +67,7 @@ class TestStoreSizeFollowsCertificates:
         self, formed_coalition, long_cert
     ):
         coalition, _server, _d, users = formed_coalition
-        service = AuthorizationService(num_shards=1, queue_depth=64, dedup=False)
+        service = AuthorizationService(queue_depth=64)
         try:
             coalition.attach_server(service)
             service.register_object(
@@ -84,14 +84,14 @@ class TestStoreSizeFollowsCertificates:
                 assert service.drain(timeout=60)
                 assert all(t.result(0).granted for t in tickets)
 
-            def shard_store():
+            def service_store():
                 return service.epochs.current.protocol.engine.store
 
             grant(range(1, 11))
-            after_10 = len(shard_store())
+            after_10 = len(service_store())
             for start in range(11, 1_001, 60):
                 grant(range(start, min(start + 60, 1_001)))
-            assert len(shard_store()) == after_10
+            assert len(service_store()) == after_10
         finally:
             service.close()
 

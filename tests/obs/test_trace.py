@@ -20,7 +20,7 @@ class TestDisabledTracer:
 class TestSpanTree:
     def test_children_and_find(self):
         root = TraceSpan("request", trace_id="t-1", seq=7)
-        root.child("admission", shard=0).end(outcome="queued")
+        root.child("admission", epoch_id=0).end(outcome="queued")
         queue = root.child("queue_wait")
         queue.end()
         root.child("derivation").end(granted=True)

@@ -42,18 +42,14 @@ def service_coalition(three_domains):
 
     def make_service(
         mode="manual",
-        num_shards=2,
         queue_depth=8,
-        dedup=True,
         freshness_window=WINDOW,
         objects=("ObjectO", "ObjectP"),
         **service_kwargs,
     ):
         service = AuthorizationService(
             name="ServiceP",
-            num_shards=num_shards,
             queue_depth=queue_depth,
-            dedup=dedup,
             freshness_window=freshness_window,
             mode=mode,
             **service_kwargs,

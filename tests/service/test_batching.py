@@ -12,40 +12,49 @@ import threading
 import pytest
 
 from repro.coalition import build_joint_request
-from repro.service.admission import ShardQueue, Ticket
+from repro.service.admission import AdmissionQueue, Ticket
 
 from .conftest import WINDOW
 
 
 def _ticket(seq):
-    return Ticket(request=None, now=0, epoch=None, shard=0, seq=seq)
+    return Ticket(request=None, now=0, epoch=None, seq=seq)
 
 
 class TestShardQueueBatchOps:
+    """:class:`AdmissionQueue` batch operations."""
+
     def test_try_push_batch_accepts_prefix_up_to_depth(self):
-        queue = ShardQueue(depth=4)
-        queue.try_push(_ticket(0))
+        queue = AdmissionQueue(depth=4)
+        queue.try_push_batch([_ticket(0)])
         accepted = queue.try_push_batch([_ticket(s) for s in range(1, 9)])
         assert accepted == 3  # room for depth-1 more
-        assert [t.seq for t in queue.drain_all()] == [0, 1, 2, 3]
+        assert [t.seq for t in queue.take()] == [0, 1, 2, 3]
         # A full queue accepts nothing.
-        full = ShardQueue(depth=1)
-        full.try_push(_ticket(0))
+        full = AdmissionQueue(depth=1)
+        full.try_push_batch([_ticket(0)])
         assert full.try_push_batch([_ticket(1)]) == 0
 
     def test_push_front_batch_restores_admission_order(self):
-        queue = ShardQueue(depth=8)
+        queue = AdmissionQueue(depth=8)
         for seq in range(4):
-            queue.try_push(_ticket(seq))
-        batch = queue.drain_all()
+            queue.try_push_batch([_ticket(seq)])
+        batch = queue.take()
         # Crash after evaluating batch[0]: the rest go back to the head,
         # ahead of a later arrival, ignoring depth.
-        queue.try_push(_ticket(4))
+        queue.try_push_batch([_ticket(4)])
         queue.push_front_batch(batch[1:])
-        assert [t.seq for t in queue.drain_all()] == [1, 2, 3, 4]
+        assert [t.seq for t in queue.take()] == [1, 2, 3, 4]
+
+    def test_take_with_a_limit_returns_the_oldest(self):
+        queue = AdmissionQueue(depth=8)
+        queue.try_push_batch([_ticket(seq) for seq in range(5)])
+        assert [t.seq for t in queue.take(2)] == [0, 1]
+        assert [t.seq for t in queue.take(9)] == [2, 3, 4]
+        assert queue.take() == []
 
     def test_fifo_preserved_under_concurrent_push(self):
-        queue = ShardQueue(depth=32)
+        queue = AdmissionQueue(depth=32)
         total = 400
         popped = []
         done = threading.Event()
@@ -64,7 +73,7 @@ class TestShardQueueBatchOps:
 
         def consumer():
             while len(popped) < total:
-                batch = queue.drain_all()
+                batch = queue.take()
                 popped.extend(batch)
                 if not batch and done.is_set() and len(queue) == 0:
                     break
@@ -122,22 +131,22 @@ def _request_stream(coalition, users, read_cert, seed, events=120):
 
 
 class TestSubmitBatchParity:
-    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    @pytest.mark.parametrize("seed", [1, 2, 4])
     def test_batched_matches_per_ticket_submission(
-        self, service_coalition, num_shards
+        self, service_coalition, seed
     ):
         """Byte-parity fuzz: submit_batch vs submit, same stream."""
         ctx, make_service = service_coalition
         batched = make_service(
-            mode="manual", num_shards=num_shards, queue_depth=512,
-            dedup=False, freshness_window=FRESHNESS,
+            mode="manual", queue_depth=512,
+            freshness_window=FRESHNESS,
         )
         per_ticket = make_service(
-            mode="manual", num_shards=num_shards, queue_depth=512,
-            dedup=False, freshness_window=FRESHNESS,
+            mode="manual", queue_depth=512,
+            freshness_window=FRESHNESS,
         )
         pairs = _request_stream(
-            ctx["coalition"], ctx["users"], ctx["read_cert"], seed=num_shards
+            ctx["coalition"], ctx["users"], ctx["read_cert"], seed=seed
         )
         rng = random.Random(99)
         batched_tickets = []
@@ -161,7 +170,7 @@ class TestSubmitBatchParity:
     def test_submit_batch_counts_every_arrival(self, service_coalition):
         ctx, make_service = service_coalition
         service = make_service(
-            mode="manual", num_shards=2, queue_depth=64, dedup=False,
+            mode="manual", queue_depth=64,
             freshness_window=FRESHNESS,
         )
         pairs = _request_stream(
@@ -184,7 +193,7 @@ class TestSubmitBatchParity:
     ):
         ctx, make_service = service_coalition
         service = make_service(
-            mode="manual", num_shards=1, queue_depth=4, dedup=False,
+            mode="manual", queue_depth=4,
             freshness_window=FRESHNESS,
         )
         pairs = _request_stream(
@@ -219,19 +228,19 @@ class TestTripVsPushInterleaving:
 
         With a zero restart budget and a kill on the first evaluation,
         the breaker trips while submitters are still flooding the
-        shard.  Whatever interleaving the scheduler picks, every ticket
+        queue.  Whatever interleaving the scheduler picks, every ticket
         must resolve (push before drain => caught by the sweep; push
-        after => the per-shard re-check sheds) and the accounting
+        after => the breaker re-check sheds) and the accounting
         identity must hold.
         """
         from repro.service.chaos import ChaosConfig, FaultInjector
 
         ctx, make_service = service_coalition
         service = make_service(
-            mode="threaded", num_shards=1, queue_depth=64, dedup=False,
+            mode="threaded", queue_depth=64,
             freshness_window=FRESHNESS, max_restarts=0,
             chaos=FaultInjector(
-                ChaosConfig(kill_shard=0, kill_in_flight=True, kill_times=1)
+                ChaosConfig(kill_in_flight=True, kill_times=1)
             ),
         )
         pairs = _request_stream(
@@ -258,7 +267,7 @@ class TestTripVsPushInterleaving:
         assert service.drain(timeout=30.0)
         for ticket in tickets:
             assert ticket.done()
-        assert service.breakers_open() == 1
+        assert service.stats()["health"]["breaker"] == "open"
         stats = service.stats()["service"]
         assert (
             stats["evaluated"] + stats["errored"] + stats["overloaded"]

@@ -1,15 +1,15 @@
 """Threaded mode decides on the submitting thread.
 
 ``submit``/``submit_batch`` admit, then take the service's decision lock
-and decide every queued ticket in global sequence order, so they return
+and decide every queued ticket in sequence order, so they return
 resolved tickets.  These tests pin what that engine must keep:
 
-* concurrent submitters with same-nonce chains across shards, racing a
+* concurrent submitters with same-nonce chains across objects, racing a
   revocation publisher, neither deadlock nor diverge from the
   sequential protocol (byte-identical decision documents);
 * a batch's certificate admissions warm the cache of the epoch they
   were decided in, so the next publish forks them forward;
-* a batch larger than a shard's queue still sheds its excess as typed
+* a batch larger than the admission queue still sheds its excess as typed
   ``Overloaded`` decisions.
 """
 
@@ -57,9 +57,7 @@ def test_concurrent_submitters_match_the_sequential_protocol(
     service_coalition,
 ):
     ctx, make_service = service_coalition
-    service = make_service(
-        mode="threaded", num_shards=2, queue_depth=512, dedup=False,
-    )
+    service = make_service(mode="threaded", queue_depth=512)
     coalition, users = ctx["coalition"], ctx["users"]
     validity = ValidityPeriod(0, WINDOW)
     write_certs = [
@@ -68,9 +66,8 @@ def test_concurrent_submitters_match_the_sequential_protocol(
         )
         for _ in range(3)
     ]
-    # Each nonce is used on ObjectO (shard 0) by one submitter and on
-    # ObjectP (shard 1) by the next, so same-nonce chains cross both
-    # shards and submitters.
+    # Each nonce is used on ObjectO by one submitter and on ObjectP by
+    # the next, so same-nonce chains cross both objects and submitters.
     rng = random.Random(7)
     plans = [[] for _ in range(SUBMITTERS)]
     for k in range(SUBMITTERS * BATCHES * BATCH // 2):
@@ -157,7 +154,7 @@ def test_batch_admissions_warm_the_next_epoch(service_coalition):
     filling the superseded epoch's caches instead.
     """
     ctx, make_service = service_coalition
-    service = make_service(mode="threaded", num_shards=2, dedup=False)
+    service = make_service(mode="threaded")
     coalition, users = ctx["coalition"], ctx["users"]
     victim = coalition.authority.issue_threshold_certificate(
         users, 2, "G_write", 0, ValidityPeriod(0, WINDOW)
@@ -179,9 +176,7 @@ def test_batch_admissions_warm_the_next_epoch(service_coalition):
 
 def test_batch_beyond_queue_depth_sheds_its_excess(service_coalition):
     ctx, make_service = service_coalition
-    service = make_service(
-        mode="threaded", num_shards=1, queue_depth=4, dedup=False,
-    )
+    service = make_service(mode="threaded", queue_depth=4)
     users, cert = ctx["users"], ctx["read_cert"]
     tickets = service.submit_batch(
         [(_read(users, cert, "ObjectO", 5, f"qd-{i}"), 5) for i in range(10)]
@@ -191,7 +186,10 @@ def test_batch_beyond_queue_depth_sheds_its_excess(service_coalition):
     assert all(d.granted for d in decisions[:4])
     shed = decisions[4:]
     assert all(isinstance(d, Overloaded) and not d.granted for d in shed)
-    assert all(d.shard == 0 and d.queue_depth == 4 for d in shed)
+    assert all(d.queue_depth == 4 for d in shed)
+    assert all(
+        d.reason == "overloaded: admission queue at depth 4" for d in shed
+    )
     stats = service.stats()["service"]
     assert (stats["evaluated"], stats["overloaded"], stats["submitted"]) == (
         4, 6, 10,

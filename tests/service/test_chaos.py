@@ -70,15 +70,16 @@ class TestInjectorSemantics:
         assert injector.stats()["slows_injected"] == 3
 
     def test_loop_top_kill_fires_once_after_threshold(self):
-        injector = FaultInjector(
-            ChaosConfig(kill_shard=1, kill_after=2, kill_times=1)
+        # kill_times=0 (the default) is no kill at all.
+        FaultInjector(ChaosConfig(kill_after=2)).on_worker_loop(
+            tickets_processed=5
         )
-        injector.on_worker_loop(shard=0, tickets_processed=5)  # wrong shard
-        injector.on_worker_loop(shard=1, tickets_processed=1)  # below threshold
+        injector = FaultInjector(ChaosConfig(kill_after=2, kill_times=1))
+        injector.on_worker_loop(tickets_processed=1)  # below threshold
         with pytest.raises(WorkerKilled):
-            injector.on_worker_loop(shard=1, tickets_processed=2)
-        # One-shot: the replacement worker lives.
-        injector.on_worker_loop(shard=1, tickets_processed=0)
+            injector.on_worker_loop(tickets_processed=2)
+        # One-shot: the restarted decider lives.
+        injector.on_worker_loop(tickets_processed=2)
         assert injector.stats()["kills_fired"] == 1
 
     def test_scripted_action_ordinals_are_one_based(self):
@@ -94,6 +95,17 @@ class TestInjectorSemantics:
 
 
 class TestServiceIntegration:
+    def test_kill_times_zero_is_no_kill(self, service_coalition):
+        ctx, make_service = service_coalition
+        injector = FaultInjector(ChaosConfig(kill_in_flight=True))
+        service = make_service(mode="manual", chaos=injector)
+        users, cert = ctx["users"], ctx["read_cert"]
+        ticket = service.submit(_read(users, cert, "ObjectO", 5, "kz-0"), now=5)
+        service.pump()
+        assert ticket.result(0).granted
+        assert injector.stats()["kills_fired"] == 0
+        assert service.stats()["health"]["crashes"] == 0
+
     def test_injected_faults_replay_across_manual_runs(
         self, service_coalition
     ):
@@ -103,7 +115,6 @@ class TestServiceIntegration:
         def run():
             service = make_service(
                 mode="manual",
-                num_shards=2,
                 queue_depth=32,
                 chaos=FaultInjector(ChaosConfig(raise_every=4)),
             )
@@ -132,7 +143,7 @@ class TestServiceIntegration:
         ctx, make_service = service_coalition
         injector = FaultInjector()
         service = make_service(
-            mode="manual", num_shards=2, dedup=False, chaos=injector
+            mode="manual", chaos=injector
         )
         users, cert = ctx["users"], ctx["read_cert"]
         # Before the 2nd evaluation, strip ObjectO's read permission.
@@ -156,9 +167,7 @@ class TestServiceIntegration:
         injector = FaultInjector(ChaosConfig(raise_every=5))
         service = make_service(
             mode="threaded",
-            num_shards=2,
             queue_depth=64,
-            dedup=False,
             chaos=injector,
         )
         users, cert = ctx["users"], ctx["read_cert"]
@@ -178,7 +187,7 @@ class TestServiceIntegration:
             stats["evaluated"] + stats["errored"] + stats["overloaded"]
             == stats["submitted"]
         )
-        assert service.stats()["health"]["worker_crashes"] == 0
+        assert service.stats()["health"]["crashes"] == 0
 
 
 class TestChaosGauges:
@@ -193,7 +202,7 @@ class TestChaosGauges:
         fired = []
         injector.at(2, lambda ticket: fired.append(True))
         service = make_service(
-            mode="manual", num_shards=2, queue_depth=32, chaos=injector
+            mode="manual", queue_depth=32, chaos=injector
         )
         for i in range(8):
             service.submit(

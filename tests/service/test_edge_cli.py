@@ -31,7 +31,7 @@ def test_serve_smoke_sigterm_cycle(tmp_path):
     serve = subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "serve",
-            "--shards", "2", "--bits", "256", "--objects", "4",
+            "--bits", "256", "--objects", "4",
             "--client-bundle", str(bundle),
             "--port-file", str(port_file),
         ],
@@ -72,7 +72,7 @@ def test_serve_smoke_sigterm_cycle(tmp_path):
         out, _ = serve.communicate(timeout=60)
         assert serve.returncode == 0, out
         assert "draining edge" in out
-        assert "drained=True" in out
+        assert "drained: connections=1 responses=12" in out
     finally:
         if serve.poll() is None:
             serve.kill()

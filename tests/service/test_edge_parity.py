@@ -48,17 +48,15 @@ def _seeded_stream(ctx, seed, count, objects=("ObjectO", "ObjectP")):
 
 
 class TestByteParity:
-    @pytest.mark.parametrize("num_shards", [1, 4])
+    @pytest.mark.parametrize("window", [1, 4])
     def test_socket_decisions_byte_identical_to_inproc(
-        self, service_coalition, num_shards
+        self, service_coalition, window
     ):
+        """``window`` requests are pipelined per round trip, so the edge
+        admits up to that many frames of a tick as one batch."""
         ctx, make_service = service_coalition
-        inproc = make_service(
-            mode="threaded", num_shards=num_shards, queue_depth=256
-        )
-        socket_svc = make_service(
-            mode="threaded", num_shards=num_shards, queue_depth=256
-        )
+        inproc = make_service(mode="threaded", queue_depth=256)
+        socket_svc = make_service(mode="threaded", queue_depth=256)
         stream = _seeded_stream(ctx, seed=7, count=30)
 
         local = [
@@ -71,11 +69,23 @@ class TestByteParity:
         handle = serve_in_thread(socket_svc)
         try:
             with EdgeClient("127.0.0.1", handle.port) as client:
+                responses = {}
+                for start in range(0, len(stream), window):
+                    chunk = range(start, min(start + window, len(stream)))
+                    client.send_raw(b"".join(
+                        encode_frame({
+                            "kind": "authorize",
+                            "id": i,
+                            "now": i + 1,
+                            "request": request_to_dict(stream[i]),
+                        })
+                        for i in chunk
+                    ))
+                    for _ in chunk:
+                        response = client.recv_response()
+                        responses[response["id"]] = response["decision"]
                 remote = [
-                    decision_wire_bytes(
-                        client.authorize(req, now=i + 1, req_id=i)["decision"]
-                    )
-                    for i, req in enumerate(stream)
+                    decision_wire_bytes(responses[i]) for i in range(len(stream))
                 ]
         finally:
             handle.shutdown()
@@ -87,8 +97,8 @@ class TestByteParity:
     def test_parity_includes_replay_denials(self, service_coalition):
         """A replayed nonce denies identically through the socket."""
         ctx, make_service = service_coalition
-        inproc = make_service(mode="threaded", num_shards=2)
-        socket_svc = make_service(mode="threaded", num_shards=2)
+        inproc = make_service(mode="threaded")
+        socket_svc = make_service(mode="threaded")
         request = build_joint_request(
             ctx["users"][0], [], "read", "ObjectO",
             ctx["read_cert"], now=2, nonce="par-replay",
@@ -126,7 +136,7 @@ class TestShedTranslation:
         two are shed at admission.
         """
         ctx, make_service = service_coalition
-        service = make_service(mode="threaded", num_shards=1, queue_depth=1)
+        service = make_service(mode="threaded", queue_depth=1)
         stream = _seeded_stream(ctx, seed=3, count=3, objects=("ObjectO",))
         handle = serve_in_thread(service)
         try:
@@ -168,19 +178,18 @@ class TestShedTranslation:
         ctx, make_service = service_coalition
         service = make_service(
             mode="threaded",
-            num_shards=2,
             chaos=FaultInjector(
-                ChaosConfig(kill_shard=0, kill_in_flight=True, kill_times=100)
+                ChaosConfig(kill_in_flight=True, kill_times=100)
             ),
             max_restarts=0,
         )
         handle = serve_in_thread(service)
         try:
             with EdgeClient("127.0.0.1", handle.port) as client:
-                # ObjectO routes to shard 0 at 2 shards; the first
-                # request dies with its worker (a typed fault — the
-                # kill took the ticket down mid-evaluation) and burns
-                # the zero-restart budget, tripping the breaker.
+                # The first request dies with the decider (a typed
+                # fault — the kill took the ticket down mid-evaluation)
+                # and burns the zero-restart budget, tripping the
+                # breaker.
                 first = build_joint_request(
                     ctx["users"][0], [], "read", "ObjectO",
                     ctx["read_cert"], now=1, nonce="co-0",
@@ -197,22 +206,42 @@ class TestShedTranslation:
                 assert response["status"] == 503
                 assert response["retry_after"] == RETRY_AFTER_CIRCUIT_OPEN_S
                 assert response["decision"]["type"] == "circuit-open"
-                # The healthy shard still grants through the same edge.
-                healthy = build_joint_request(
+                # One breaker: another object's request sheds too.
+                other = build_joint_request(
                     ctx["users"][0], [], "read", "ObjectP",
                     ctx["read_cert"], now=3, nonce="co-2",
                 )
-                ok = client.authorize(healthy, now=3, req_id=2)
-                assert ok["kind"] == "decision"
-                assert ok["decision"]["granted"] is True
+                shed = client.authorize(other, now=3, req_id=2)
+                assert shed["kind"] == "retry"
+                assert shed["decision"]["type"] == "circuit-open"
+                assert shed["decision"]["granted"] is False
         finally:
             handle.shutdown()
+
+    def test_shed_and_errored_documents_carry_no_shard(self):
+        from repro.service import CircuitOpen, Errored, Overloaded
+
+        common = dict(
+            granted=False, reason="r", operation="read",
+            object_name="ObjectO", checked_at=1,
+        )
+        docs = [
+            decision_to_dict(Overloaded(queue_depth=4, **common)),
+            decision_to_dict(CircuitOpen(restarts=2, **common)),
+            decision_to_dict(Errored(error_type="E", **common)),
+        ]
+        assert [doc["type"] for doc in docs] == [
+            "overloaded", "circuit-open", "errored",
+        ]
+        assert all("shard" not in doc for doc in docs)
+        assert docs[0]["queue_depth"] == 4
+        assert docs[1]["restarts"] == 2
+        assert docs[2]["error_type"] == "E"
 
     def test_errored_maps_to_500(self, service_coalition):
         ctx, make_service = service_coalition
         service = make_service(
             mode="threaded",
-            num_shards=1,
             chaos=FaultInjector(ChaosConfig(raise_every=1)),
         )
         request = build_joint_request(
@@ -237,9 +266,8 @@ class TestHealthProbes:
         ctx, make_service = service_coalition
         service = make_service(
             mode="threaded",
-            num_shards=2,
             chaos=FaultInjector(
-                ChaosConfig(kill_shard=0, kill_in_flight=True, kill_times=100)
+                ChaosConfig(kill_in_flight=True, kill_times=100)
             ),
             max_restarts=0,
         )
@@ -250,8 +278,8 @@ class TestHealthProbes:
                 assert client.healthz()["status"] == 200
                 ready = client.readyz()
                 assert ready["status"] == 200
-                assert "shards" not in ready  # detail only when degraded
-                # Trip shard 0's breaker.
+                assert ready["report"]["breaker"] == "closed"
+                # Trip the breaker.
                 request = build_joint_request(
                     ctx["users"][0], [], "read", "ObjectO",
                     ctx["read_cert"], now=1, nonce="hp-0",
@@ -262,24 +290,21 @@ class TestHealthProbes:
                 health = client.healthz()
                 # Open breaker = still live (it answers, with sheds)...
                 assert health["status"] == 200
-                assert health["report"]["workers_alive"] == 1
-                # ...but not ready: degraded, with per-shard detail.
+                assert health["report"]["live"] is True
+                # ...but not ready, and the report says why.
                 ready = client.readyz()
                 assert ready["status"] == 503
                 assert ready["report"]["ready"] is False
-                assert ready["report"]["degraded"] is True
-                assert ready["report"]["ready_shards"] == 1
-                detail = {s["shard"]: s for s in ready["shards"]}
-                assert detail[0]["breaker"] == "open"
-                assert detail[0]["ready"] is False
-                assert detail[1]["breaker"] == "closed"
-                assert detail[1]["ready"] is True
+                assert ready["report"]["breaker"] == "open"
+                assert ready["report"]["crashes"] == 1
+                assert ready["report"]["restarts"] == 0
+                assert ready["report"]["queue_depth"] == 0
         finally:
             handle.shutdown()
 
     def test_probe_ids_are_echoed(self, service_coalition):
         ctx, make_service = service_coalition
-        service = make_service(mode="threaded", num_shards=1)
+        service = make_service(mode="threaded")
         handle = serve_in_thread(service)
         try:
             with EdgeClient("127.0.0.1", handle.port) as client:

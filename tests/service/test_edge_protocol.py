@@ -400,7 +400,7 @@ def _server_side(handle, client):
 def live_edge(service_coalition):
     """A threaded service behind a real listening edge."""
     ctx, make_service = service_coalition
-    service = make_service(mode="threaded", num_shards=2, queue_depth=64)
+    service = make_service(mode="threaded", queue_depth=64)
     handle = serve_in_thread(service)
     yield ctx, service, handle
     handle.shutdown()
@@ -654,10 +654,9 @@ class TestLiveServer:
         ctx, service, handle = live_edge
         with EdgeClient("127.0.0.1", handle.port) as client:
             assert client.healthz()["status"] == 200
-            drained = asyncio.run_coroutine_threadsafe(
-                handle.edge.drain(5.0), handle._loop
+            asyncio.run_coroutine_threadsafe(
+                handle.edge.drain(), handle._loop
             ).result(10)
-            assert drained is True
             request = _read(ctx["users"], ctx["read_cert"], "ObjectO", 6, "dr-1")
             response = client.authorize(request, now=6, req_id=3)
             assert response["kind"] == "protocol-error"
@@ -668,6 +667,55 @@ class TestLiveServer:
             # The connection still answers probes.
             assert client.healthz()["status"] == 200
         assert service.stats()["service"]["submitted"] == 0
+
+    def test_same_tick_replay_is_denied(self, live_edge):
+        """Two identical authorize frames in one segment go down as one
+        batch; the second copy is denied as a replay."""
+        ctx, service, handle = live_edge
+        request = _read(ctx["users"], ctx["read_cert"], "ObjectO", 5, "st-0")
+        frames = b"".join(
+            encode_frame({
+                "kind": "authorize",
+                "id": i,
+                "now": 5,
+                "request": request_to_dict(request),
+            })
+            for i in range(2)
+        )
+        with EdgeClient("127.0.0.1", handle.port) as client:
+            client.send_raw(frames)
+            responses = {}
+            for _ in range(2):
+                response = client.recv_frame()
+                responses[response["id"]] = response
+        assert responses[0]["decision"]["granted"] is True
+        assert responses[1]["kind"] == "decision"
+        assert responses[1]["decision"]["granted"] is False
+        assert responses[1]["decision"]["reason"] == (
+            "replayed request (nonce already accepted)"
+        )
+        assert handle.stats()["batches"] == 1
+
+    def test_closed_service_answers_authorize_with_503(self, live_edge):
+        """After ``service.close()`` the edge still answers: each pending
+        authorize frame gets a typed 503 ``error`` frame, and the same
+        connection keeps answering probes."""
+        ctx, service, handle = live_edge
+        service.close()
+        request = _read(ctx["users"], ctx["read_cert"], "ObjectO", 5, "cl-0")
+        with EdgeClient("127.0.0.1", handle.port, timeout=10) as client:
+            response = client.authorize(request, now=5, req_id=4)
+            assert response == {
+                "kind": "error",
+                "id": 4,
+                "status": 503,
+                "error_type": "ServiceError",
+                "reason": "service is closed",
+            }
+            health = client.healthz()
+            assert health["kind"] == "health"
+            assert health["status"] == 503
+            assert health["report"]["live"] is False
 
     def test_paused_connection_is_answered_after_resume(self, live_edge):
         """``pause_writing`` stops reading that connection, and only it.

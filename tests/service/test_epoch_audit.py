@@ -19,7 +19,6 @@ VALIDITY = ValidityPeriod(0, 10**6)
 
 def test_every_grant_audits_in_its_epoch_and_the_latest(tmp_path):
     service = AuthorizationService(
-        num_shards=2,
         mode="threaded",
         freshness_window=10**6,
         audit_log=AuditLog(key_bits=256),

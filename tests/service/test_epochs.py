@@ -1,7 +1,7 @@
 """Epoch snapshot semantics (the heart of the service's correctness).
 
 A revocation published at epoch k must (a) deny in every request
-admitted at epoch >= k, on every shard, and (b) leave requests admitted
+admitted at epoch >= k, for every object, and (b) leave requests admitted
 at epoch k-1 — even ones still queued when the epoch flips — deciding
 exactly as they would have before the revocation existed.
 """
@@ -19,7 +19,7 @@ def _write(users, cert, obj, now, nonce=""):
 class TestEpochPinning:
     def test_revocation_denies_from_its_epoch_onward(self, service_coalition):
         ctx, make_service = service_coalition
-        service = make_service(mode="manual", num_shards=2)
+        service = make_service(mode="manual")
         users, cert = ctx["users"], ctx["write_cert"]
 
         before = service.authorize(_write(users, cert, "ObjectO", now=5), now=5)
@@ -30,8 +30,8 @@ class TestEpochPinning:
         service.publish_revocation(revocation, now=6)
         assert service.epochs.current.epoch_id == epoch_before + 1
 
-        # Both shards observe the revocation: requests for objects that
-        # hash to different shards are all denied.
+        # Every object observes the revocation: requests for both are
+        # denied.
         for obj in ("ObjectO", "ObjectP"):
             after = service.authorize(_write(users, cert, obj, now=7), now=7)
             assert not after.granted
@@ -42,7 +42,7 @@ class TestEpochPinning:
     ):
         """Admitted at k-1, evaluated after k published: still grants."""
         ctx, make_service = service_coalition
-        service = make_service(mode="manual", num_shards=2)
+        service = make_service(mode="manual")
         users, cert = ctx["users"], ctx["write_cert"]
 
         # Admit (pin) but do not evaluate yet.
@@ -62,14 +62,14 @@ class TestEpochPinning:
         assert "revoked" in later.result().reason
 
     def test_epoch_pinning_is_atomic_across_shards(self, service_coalition):
-        """No interleaving admits one shard's revocation without the other.
+        """No interleaving applies the revocation to one object only.
 
-        Pin one request per shard before the publish and one per shard
-        after: the before-pair both grant, the after-pair both deny —
-        a half-applied revocation would break one of the four.
+        Pin one request per object before the publish and one per
+        object after: the before-pair both grant, the after-pair both
+        deny — a half-applied revocation would break one of the four.
         """
         ctx, make_service = service_coalition
-        service = make_service(mode="manual", num_shards=2)
+        service = make_service(mode="manual")
         users, cert = ctx["users"], ctx["write_cert"]
 
         before = [
@@ -89,7 +89,7 @@ class TestEpochPinning:
 
     def test_reissued_certificate_grants_in_new_epoch(self, service_coalition):
         ctx, make_service = service_coalition
-        service = make_service(mode="manual", num_shards=2)
+        service = make_service(mode="manual")
         users, cert = ctx["users"], ctx["write_cert"]
         coalition = ctx["coalition"]
 
@@ -112,7 +112,7 @@ class TestEpochPinning:
 class TestPolicyEpochs:
     def test_acl_update_publishes_new_epoch(self, service_coalition):
         ctx, make_service = service_coalition
-        service = make_service(mode="manual", num_shards=2)
+        service = make_service(mode="manual")
         users, cert = ctx["users"], ctx["write_cert"]
 
         assert service.authorize(
@@ -131,7 +131,7 @@ class TestPolicyEpochs:
 
     def test_acl_update_does_not_perturb_inflight(self, service_coalition):
         ctx, make_service = service_coalition
-        service = make_service(mode="manual", num_shards=2)
+        service = make_service(mode="manual")
         users, cert = ctx["users"], ctx["write_cert"]
 
         inflight = service.submit(_write(users, cert, "ObjectO", now=5), now=5)
@@ -143,7 +143,7 @@ class TestPolicyEpochs:
 
     def test_unregistered_object_denies_like_a_server(self, service_coalition):
         ctx, make_service = service_coalition
-        service = make_service(mode="manual", num_shards=2)
+        service = make_service(mode="manual")
         users, cert = ctx["users"], ctx["write_cert"]
         decision = service.authorize(
             _write(users, cert, "Ghost", now=5), now=5
@@ -154,7 +154,7 @@ class TestPolicyEpochs:
     def test_trust_reconfig_after_seal_publishes_epoch(self, service_coalition):
         """Late trust changes (coalition re-key) go through epochs too."""
         ctx, make_service = service_coalition
-        service = make_service(mode="manual", num_shards=2)
+        service = make_service(mode="manual")
         users, cert = ctx["users"], ctx["write_cert"]
         assert service.authorize(
             _write(users, cert, "ObjectO", now=5), now=5

@@ -1,16 +1,15 @@
-"""Per-ticket fault isolation: one poisoned request never kills a shard.
+"""Per-ticket fault isolation: one poisoned request never stops the decider.
 
-Regression suite for the silent shard-thread death bug: before the
-supervision layer, an exception escaping evaluation killed the shard's
-worker thread, stranding every queued ticket and hanging ``drain()``
+Regression suite for the silent decider-thread death bug: before the
+supervision layer, an exception escaping evaluation killed the
+deciding thread, stranding every queued ticket and hanging ``drain()``
 until its timeout.  Now the exception resolves *that* ticket as a
 typed ``Errored`` decision (fail closed, exception class recorded,
-trace annotated, counters bumped) and the shard keeps deciding.
+trace annotated, counters bumped) and the service keeps deciding.
 """
 
 from repro.coalition import build_joint_request
 from repro.service import Errored
-from repro.service.sharding import shard_for
 
 
 def _read(users, cert, obj, now, nonce):
@@ -19,14 +18,14 @@ def _read(users, cert, obj, now, nonce):
     )
 
 
-def _poison_shard(service, shard, times=1, exc_type=RuntimeError):
-    """Make the next ``times`` evaluations on ``shard`` raise."""
+def _poison_object(service, obj, times=1, exc_type=RuntimeError):
+    """Make the next ``times`` evaluations for object ``obj`` raise."""
     protocol = service.epochs.current.protocol
     original = protocol.authorize
     state = {"left": times, "calls": 0}
 
     def poisoned(request, acl, now):
-        if shard_for(request, service.num_shards) != shard:
+        if request.object_name != obj:
             return original(request, acl, now)
         state["calls"] += 1
         if state["left"] > 0:
@@ -47,31 +46,31 @@ class TestFaultIsolation:
         drain() burning its full timeout.  Threaded submits now return
         decided tickets, and the fault counts as no crash."""
         ctx, make_service = service_coalition
-        service = make_service(mode="threaded", num_shards=2, queue_depth=16)
+        service = make_service(mode="threaded", queue_depth=16)
         users, cert = ctx["users"], ctx["read_cert"]
-        _poison_shard(service, shard=0, times=1)  # ObjectO lives on shard 0
+        _poison_object(service, "ObjectO", times=1)
         tickets = [
             service.submit(_read(users, cert, "ObjectO", 5, f"fi-{i}"), now=5)
             for i in range(4)
         ]
         assert all(t.done() for t in tickets), "no ticket is stranded"
-        assert service.drain(timeout=10), "the shard must keep deciding"
+        assert service.drain(timeout=10), "the service must keep deciding"
         poisoned = tickets[0].result(0)
         assert isinstance(poisoned, Errored)
         assert not poisoned.granted, "errored decisions fail closed"
         assert poisoned.error_type == "RuntimeError"
-        assert poisoned.shard == 0
+        assert poisoned.object_name == "ObjectO"
         assert "poisoned evaluation" in poisoned.reason
         assert all(t.result(0).granted for t in tickets[1:])
         health = service.stats()["health"]
-        assert health["worker_crashes"] == 0
-        assert health["workers_alive"] == 2
+        assert health["crashes"] == 0
+        assert health["breaker"] == "closed"
 
     def test_errored_counted_in_stats_and_metrics(self, service_coalition):
         ctx, make_service = service_coalition
-        service = make_service(mode="manual", num_shards=2)
+        service = make_service(mode="manual")
         users, cert = ctx["users"], ctx["read_cert"]
-        _poison_shard(service, shard=0, times=2, exc_type=KeyError)
+        _poison_object(service, "ObjectO", times=2, exc_type=KeyError)
         for i in range(5):
             service.submit(_read(users, cert, "ObjectO", 5, f"fm-{i}"), now=5)
         service.pump()
@@ -84,9 +83,9 @@ class TestFaultIsolation:
 
     def test_errored_ticket_trace_records_exception(self, service_coalition):
         ctx, make_service = service_coalition
-        service = make_service(mode="manual", num_shards=2, tracing=True)
+        service = make_service(mode="manual", tracing=True)
         users, cert = ctx["users"], ctx["read_cert"]
-        _poison_shard(service, shard=0, times=1, exc_type=ValueError)
+        _poison_object(service, "ObjectO", times=1, exc_type=ValueError)
         ticket = service.submit(_read(users, cert, "ObjectO", 5, "ft-0"), now=5)
         service.pump()
         trace = service.tracer.find_trace(ticket.trace_id)
@@ -101,9 +100,9 @@ class TestFaultIsolation:
         """An errored ticket still unblocks its same-nonce successor —
         the barrier waits on resolution, not on a grant."""
         ctx, make_service = service_coalition
-        service = make_service(mode="threaded", num_shards=2, dedup=False)
+        service = make_service(mode="threaded")
         users, cert = ctx["users"], ctx["read_cert"]
-        _poison_shard(service, shard=0, times=1)
+        _poison_object(service, "ObjectO", times=1)
         first = service.submit(_read(users, cert, "ObjectO", 5, "fn-0"), now=5)
         second = service.submit(_read(users, cert, "ObjectP", 5, "fn-0"), now=5)
         assert service.drain(timeout=10)
@@ -117,9 +116,9 @@ class TestFaultIsolation:
 
         ctx, make_service = service_coalition
         audit = AuditLog(key_bits=256)
-        service = make_service(mode="manual", num_shards=2, audit_log=audit)
+        service = make_service(mode="manual", audit_log=audit)
         users, cert = ctx["users"], ctx["read_cert"]
-        _poison_shard(service, shard=0, times=1)
+        _poison_object(service, "ObjectO", times=1)
         service.submit(_read(users, cert, "ObjectO", 5, "fa-0"), now=5)
         service.pump()
         audit.verify(expected_length=len(audit))

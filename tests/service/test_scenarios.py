@@ -25,14 +25,6 @@ def _digests(report):
 
 
 class TestDeterminism:
-    def test_same_seed_identical_across_shard_counts(self):
-        """1 vs 4 shards, same seed: byte-identical trace and decisions."""
-        one = run_scenario("membership-storm", seed=5, mode="manual", num_shards=1)
-        four = run_scenario("membership-storm", seed=5, mode="manual", num_shards=4)
-        assert one.ok, one.violations()
-        assert four.ok, four.violations()
-        assert _digests(one) == _digests(four)
-
     def test_chaos_run_replays_exactly(self):
         """Chaos mid-scenario does not break same-seed reproducibility."""
         first = run_scenario("chaos-storm", seed=3, mode="manual")
@@ -63,8 +55,8 @@ class TestStandingInvariants:
         invariant set, so ``report.ok`` pins exactly that."""
         report = run_scenario("chaos-storm", seed=0, mode="threaded")
         assert report.ok, report.violations()
-        assert report.workers_killed >= 1
-        assert report.worker_restarts >= 1
+        assert report.kills >= 1
+        assert report.restarts >= 1
         assert report.revocations > 0
         assert {inv["invariant"] for inv in report.invariants} >= {
             "accounting",

@@ -1,17 +1,17 @@
-"""Sharded service vs. sequential oracle — byte-identical decisions.
+"""Service vs. sequential oracle — byte-identical decisions.
 
 Same oracle-parity style as ``tests/core/test_store_parity.py``: feed a
 randomized stream of reads, writes, replays, stale requests, unknown
 objects and interleaved revocations both to an
-:class:`AuthorizationService` (dedup off, large queues so nothing is
-shed) and to a plain sequential :class:`CoalitionServer` attached to
-the same coalition, then require ``granted`` *and* ``reason`` to match
-exactly for every event.
+:class:`AuthorizationService` (large queue so nothing is shed) and to
+a plain sequential :class:`CoalitionServer` attached to the same
+coalition, then require ``granted`` *and* ``reason`` to match exactly
+for every event.
 
-Dedup is disabled here on purpose: coalescing two identical in-flight
-requests into one decision is a deliberate divergence from the oracle,
-which replays the duplicate and denies it.  Dedup gets its own tests in
-``test_admission.py``.
+The service admits the stream in ``submit_batch`` calls of ``batch``
+requests (flushed before each revocation, so every request pins the
+epoch the oracle saw), so a verbatim replay can share a batch with its
+original: the oracle denies it, and so must the service.
 """
 
 import random
@@ -28,13 +28,13 @@ FRESHNESS = 50
 
 def _drive(
     service, server, coalition, users, read_cert, seed, events=110,
-    pump_each=False,
+    pump_each=False, batch=1,
 ):
     """Run one mirrored stream; return [(ticket, oracle_decision)].
 
     ``pump_each`` decides every ticket (manual mode) before the next
     event, so revocations land between evaluations, not only between
-    admissions.
+    admissions.  ``batch`` requests are admitted per ``submit_batch``.
     """
     rng = random.Random(seed)
     validity = ValidityPeriod(0, WINDOW)
@@ -47,11 +47,19 @@ def _drive(
     objects = ["ObjectO", "ObjectP", "Ghost"]
     history = []
     paired = []
+    pending = []  # (request, now, oracle decision) not yet admitted
+
+    def flush():
+        tickets = service.submit_batch([(r, n) for r, n, _ in pending])
+        paired.extend(zip(tickets, [d for _, _, d in pending]))
+        pending.clear()
+
     now = FRESHNESS + 10
     for i in range(events):
         now += rng.randrange(0, 3)
         roll = rng.random()
         if roll < 0.08 and len(write_certs) > 1:
+            flush()
             victim = write_certs.pop(rng.randrange(len(write_certs)))
             revocation = coalition.authority.revoke_certificate(victim, now=now)
             service.publish_revocation(revocation, now=now)
@@ -77,9 +85,12 @@ def _drive(
             )
         history.append(request)
         oracle = server.handle_request(request, now=now, write_content=b"w")
-        paired.append((service.submit(request, now=now), oracle.decision))
+        pending.append((request, now, oracle.decision))
+        if len(pending) >= batch:
+            flush()
         if pump_each:
             service.pump()
+    flush()
     return paired
 
 
@@ -104,17 +115,17 @@ def _assert_parity(paired):
     assert granted > 10 and denied > 10
 
 
-@pytest.mark.parametrize("num_shards", [1, 2, 4])
+@pytest.mark.parametrize("batch", [1, 2, 4])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_manual_mode_parity_fuzz(service_coalition, num_shards, seed):
+def test_manual_mode_parity_fuzz(service_coalition, batch, seed):
     ctx, make_service = service_coalition
     service = make_service(
-        mode="manual", num_shards=num_shards, queue_depth=512,
-        dedup=False, freshness_window=FRESHNESS,
+        mode="manual", queue_depth=512, freshness_window=FRESHNESS,
     )
     server = _oracle_server(ctx)
     paired = _drive(
-        service, server, ctx["coalition"], ctx["users"], ctx["read_cert"], seed
+        service, server, ctx["coalition"], ctx["users"], ctx["read_cert"],
+        seed, batch=batch,
     )
     service.pump()
     _assert_parity(paired)
@@ -124,8 +135,8 @@ def test_manual_mode_pump_per_submit_parity_fuzz(service_coalition):
     """Pumping after every submit; decisions still match."""
     ctx, make_service = service_coalition
     service = make_service(
-        mode="manual", num_shards=2, queue_depth=512,
-        dedup=False, freshness_window=FRESHNESS,
+        mode="manual", queue_depth=512,
+        freshness_window=FRESHNESS,
     )
     server = _oracle_server(ctx)
     paired = _drive(
@@ -135,18 +146,17 @@ def test_manual_mode_pump_per_submit_parity_fuzz(service_coalition):
     _assert_parity(paired)
 
 
-@pytest.mark.parametrize("num_shards", [2, 4])
-def test_threaded_mode_parity_fuzz(service_coalition, num_shards):
-    """Live worker threads: ordering differs, decisions must not."""
+@pytest.mark.parametrize("batch", [2, 4])
+def test_threaded_mode_parity_fuzz(service_coalition, batch):
+    """Decided on the submitting thread, batch by batch."""
     ctx, make_service = service_coalition
     service = make_service(
-        mode="threaded", num_shards=num_shards, queue_depth=512,
-        dedup=False, freshness_window=FRESHNESS,
+        mode="threaded", queue_depth=512, freshness_window=FRESHNESS,
     )
     server = _oracle_server(ctx)
     paired = _drive(
         service, server, ctx["coalition"], ctx["users"], ctx["read_cert"],
-        seed=3,
+        seed=3, batch=batch,
     )
     assert service.drain(timeout=30)
     _assert_parity(paired)

@@ -21,11 +21,12 @@ SMOKE = os.environ.get("SERVICE_BENCH_SMOKE") == "1"
 TOTAL = 120 if SMOKE else 500
 
 
-@pytest.mark.parametrize("num_shards", [1, 4])
-def test_round_trip_mixed_stream(tmp_path, num_shards):
+@pytest.mark.parametrize("sync_every", [1, 4])
+def test_round_trip_mixed_stream(tmp_path, sync_every):
+    """Parity holds whether the WAL syncs after every append or every
+    fourth."""
     manifest = ReplayManifest(
         total_requests=TOTAL,
-        num_shards=num_shards,
         num_objects=6,
         read_fraction=0.4,
         deny_fraction=0.2,
@@ -34,7 +35,7 @@ def test_round_trip_mixed_stream(tmp_path, num_shards):
         seed=11,
     )
     wal_dir = str(tmp_path / "wal")
-    result = run_scenario(manifest, wal_dir)
+    result = run_scenario(manifest, wal_dir, sync_every=sync_every)
     assert len(result.entries) == TOTAL
     # The stream is genuinely mixed.
     assert result.granted > 0
@@ -60,7 +61,7 @@ def test_round_trip_mixed_stream(tmp_path, num_shards):
 
 def test_clean_wal_replays_identically(tmp_path):
     manifest = ReplayManifest(
-        total_requests=60, num_shards=2, revoke_every=20, key_bits=128, seed=5
+        total_requests=60, revoke_every=20, key_bits=128, seed=5
     )
     wal_dir = str(tmp_path / "wal")
     run_scenario(manifest, wal_dir)
@@ -131,3 +132,11 @@ def test_tampered_entry_fails_parity(tmp_path):
     assert not report.entries_matched
     assert report.mismatch_index == 10
     assert not report.ok
+
+
+def test_manifest_from_an_older_meta_drops_unknown_keys():
+    """A META record written when the manifest still had a shard count
+    loads: unknown keys are dropped."""
+    manifest = ReplayManifest(total_requests=7, seed=3)
+    doc = dict(manifest.as_dict(), num_shards=4)
+    assert ReplayManifest.from_dict(doc) == manifest

@@ -46,7 +46,7 @@ class TestServiceWal:
     def test_every_decision_lands_in_the_wal(self, tmp_path):
         wal_dir = str(tmp_path / "wal")
         service = AuthorizationService(
-            num_shards=2, mode="manual", wal_dir=wal_dir, wal_sync_every=4
+            mode="manual", wal_dir=wal_dir, wal_sync_every=4
         )
         coalition, users = _coalition(service)
         service.register_object(
@@ -70,7 +70,7 @@ class TestServiceWal:
     def test_restart_resumes_the_same_chain(self, tmp_path):
         wal_dir = str(tmp_path / "wal")
         service = AuthorizationService(
-            num_shards=2, mode="manual", wal_dir=wal_dir
+            mode="manual", wal_dir=wal_dir
         )
         coalition, users = _coalition(service)
         service.register_object(
@@ -82,7 +82,7 @@ class TestServiceWal:
         service.close()
 
         service2 = AuthorizationService(
-            num_shards=2, mode="manual", wal_dir=wal_dir
+            mode="manual", wal_dir=wal_dir
         )
         assert service2.recovered is not None and service2.recovered.clean
         assert len(service2.audit_log) == 5
@@ -102,7 +102,7 @@ class TestServiceWal:
     def test_restart_heals_torn_tail(self, tmp_path):
         wal_dir = str(tmp_path / "wal")
         service = AuthorizationService(
-            num_shards=1, mode="manual", wal_dir=wal_dir
+            mode="manual", wal_dir=wal_dir
         )
         coalition, users = _coalition(service)
         service.register_object(
@@ -115,7 +115,7 @@ class TestServiceWal:
             handle.truncate(os.path.getsize(seg) - 5)
 
         service2 = AuthorizationService(
-            num_shards=1, mode="manual", wal_dir=wal_dir
+            mode="manual", wal_dir=wal_dir
         )
         assert service2.recovered.torn is not None
         assert len(service2.audit_log) == 5
@@ -124,7 +124,7 @@ class TestServiceWal:
     def test_wal_bound_log_keeps_entries_only_in_the_wal(self, tmp_path):
         wal_dir = str(tmp_path / "wal")
         service = AuthorizationService(
-            num_shards=2, mode="threaded", wal_dir=wal_dir
+            mode="threaded", wal_dir=wal_dir
         )
         coalition, users = _coalition(service)
         service.register_object(
@@ -143,7 +143,7 @@ class TestServiceWal:
     def test_threaded_mode_appends_through_audit_lock(self, tmp_path):
         wal_dir = str(tmp_path / "wal")
         service = AuthorizationService(
-            num_shards=4, mode="threaded", wal_dir=wal_dir
+            mode="threaded", wal_dir=wal_dir
         )
         coalition, users = _coalition(service)
         service.register_object(

@@ -21,6 +21,19 @@ class TestParser:
         )
         assert args.n == 5 and args.bits == 128 and args.dealerless
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--shards", "2"],
+            ["serve", "--drain-timeout", "5"],
+            ["health", "--kill-shard", "0"],
+            ["scenario", "--shards", "2"],
+        ],
+    )
+    def test_removed_options_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
 
 class TestCommands:
     def test_demo_runs(self, capsys):
@@ -84,7 +97,7 @@ class TestCommands:
         from repro.obs.metrics import SCHEMA, validate_snapshot
 
         assert main(
-            ["metrics", "--requests", "20", "--shards", "2", "--tracing"]
+            ["metrics", "--requests", "20", "--tracing"]
         ) == 0
         snapshot = json.loads(capsys.readouterr().out)
         validate_snapshot(snapshot)
@@ -94,7 +107,7 @@ class TestCommands:
 
     def test_health_ready_service_exits_zero(self, capsys):
         assert main(
-            ["health", "--requests", "20", "--shards", "2", "--bits", "256"]
+            ["health", "--requests", "20", "--bits", "256"]
         ) == 0
         out = capsys.readouterr().out
         assert "live=True" in out
@@ -104,9 +117,9 @@ class TestCommands:
     def test_health_chaos_survives_and_reports(self, capsys):
         assert main(
             [
-                "health", "--requests", "40", "--shards", "2",
+                "health", "--requests", "40",
                 "--bits", "256", "--chaos-raise-every", "8",
-                "--kill-shard", "0", "--kill-after", "2",
+                "--kills", "1", "--kill-after", "2",
             ]
         ) == 0
         out = capsys.readouterr().out
@@ -118,10 +131,10 @@ class TestCommands:
         import json
 
         assert main(
-            ["health", "--requests", "20", "--shards", "2",
-             "--bits", "256", "--json"]
+            ["health", "--requests", "20", "--bits", "256", "--json"]
         ) == 0
         probe = json.loads(capsys.readouterr().out)
-        assert probe["liveness"]["live"] is True
-        assert probe["readiness"]["ready"] is True
-        assert len(probe["shards"]) == 2
+        assert probe["live"] is True
+        assert probe["ready"] is True
+        assert probe["breaker"] == "closed"
+        assert probe["queue_limit"] == 256

@@ -64,7 +64,6 @@ PACKAGES = [
     "repro.service.health",
     "repro.service.fixture",
     "repro.service.service",
-    "repro.service.sharding",
     "repro.storage",
     "repro.storage.wal",
     "repro.storage.recovery",
